@@ -843,53 +843,138 @@ Core::deliverInterrupt(int vector)
     poisonSinceBackward = true;
 }
 
+namespace
+{
+
+/**
+ * Does a conditional branch in the loop body [head, branch) of @p blk
+ * test flags derived from induction register @p ind, or does any
+ * branch leave the body? Either makes the per-iteration cost a
+ * function of the induction value whose period no cost ring bounds (a
+ * branch on bit k repeats every 2^(k+1) iterations, and its costs can
+ * match for a few iterations by coincidence), so repeating costs
+ * would prove nothing. Register taint is flow-insensitive; flag taint
+ * flows along the body's edges (compares overwrite it) and is
+ * iterated to a fixed point, which keeps both conservative.
+ */
+bool
+inductionSteersBody(const isa::CodeBlock &blk, int head, int branch,
+                    Reg ind)
+{
+    static_assert(isa::numRegs <= 32);
+    auto bit = [](Reg r) { return 1u << static_cast<unsigned>(r); };
+    std::uint32_t tainted = bit(ind);
+    // Flag taint on entry to each body instruction. The head inherits
+    // the closing compare of the previous iteration.
+    std::vector<char> flags_in(static_cast<std::size_t>(branch - head + 1));
+    flags_in[0] = 1;
+    for (bool changed = true; changed;) {
+        changed = false;
+        auto reach = [&](int target, bool f) {
+            char &slot = flags_in[static_cast<std::size_t>(target - head)];
+            if (f && slot == 0) {
+                slot = 1;
+                changed = true;
+            }
+        };
+        for (int i = head; i < branch; ++i) {
+            const Inst &in = blk.inst(static_cast<std::size_t>(i));
+            bool f = flags_in[static_cast<std::size_t>(i - head)] != 0;
+            switch (in.op) {
+              case Opcode::MovReg:
+              case Opcode::AddReg:
+              case Opcode::SubReg:
+              case Opcode::XorReg:
+              case Opcode::OrReg:
+                if ((tainted & bit(in.r2)) != 0 &&
+                    (tainted & bit(in.r1)) == 0) {
+                    tainted |= bit(in.r1);
+                    changed = true;
+                }
+                break;
+              case Opcode::CmpImm:
+                f = (tainted & bit(in.r1)) != 0;
+                break;
+              case Opcode::CmpReg:
+              case Opcode::TestReg:
+                f = (tainted & (bit(in.r1) | bit(in.r2))) != 0;
+                break;
+              case Opcode::Jmp:
+              case Opcode::Je:
+              case Opcode::Jne:
+              case Opcode::Jl:
+              case Opcode::Jge:
+                if (in.targetIndex < head || in.targetIndex > branch ||
+                    (in.op != Opcode::Jmp && f))
+                    return true;
+                reach(in.targetIndex, f);
+                if (in.op == Opcode::Jmp)
+                    continue; // no fall-through
+                break;
+              default:
+                break;
+            }
+            reach(i + 1, f);
+        }
+    }
+    return false;
+}
+
+} // namespace
+
 void
 Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
                             int branch_index)
 {
-    LoopFf &lf = loops[key];
-    if (lf.unsafe)
-        return;
     // Bulk-applying counts would skip overflow thresholds (and rob
     // the profiler of per-retire ground truth): sampling sessions
     // and profiled runs force pure interpretation.
     if (pmuUnit.samplingActive() || prof != nullptr)
         return;
+    LoopFf &lf = loops[key];
+    if (lf.unsafe != obs::Spc::NumSpcs) {
+        obs::spcInc(lf.unsafe);
+        return;
+    }
     if (poisonSinceBackward) {
-        lf.phase = 0;
+        lf.headTaken = false;
+        lf.costs.clear();
         poisonSinceBackward = false;
         return;
     }
-    poisonSinceBackward = false;
 
     const auto user = static_cast<std::size_t>(Mode::User);
-    auto snapshot = [&](LoopFf &dst) {
-        dst.headRegs = regs;
-        dst.headInstr = instrPerMode[user];
-        dst.headCycles = cycleCount;
+    auto snapshot = [&] {
+        lf.headRegs = regs;
+        lf.head.instr = instrPerMode[user];
+        lf.head.cycles = cycleCount;
         for (std::size_t e = 0; e < numEvents; ++e)
-            dst.headEvents[e] = rawEv[e][user];
+            lf.head.events[e] = rawEv[e][user];
+    };
+    auto refuse = [&](obs::Spc why) {
+        lf.unsafe = why;
+        obs::spcInc(why);
     };
 
-    if (lf.phase == 0) {
-        snapshot(lf);
-        lf.phase = 1;
+    if (!lf.headTaken) {
+        snapshot();
+        lf.headTaken = true;
         return;
     }
 
-    // Compute this iteration's deltas.
-    Count d_instr = instrPerMode[user] - lf.headInstr;
-    Cycles d_cycles = cycleCount - lf.headCycles;
-    std::array<Count, numEvents> d_events{};
+    // This iteration's cost.
+    IterCost d;
+    d.instr = instrPerMode[user] - lf.head.instr;
+    d.cycles = cycleCount - lf.head.cycles;
     for (std::size_t e = 0; e < numEvents; ++e)
-        d_events[e] = rawEv[e][user] - lf.headEvents[e];
+        d.events[e] = rawEv[e][user] - lf.head.events[e];
 
     int changed = -1;
     std::int64_t step_val = 0;
     for (std::size_t r = 0; r < isa::numRegs; ++r) {
         if (regs[r] != lf.headRegs[r]) {
             if (changed >= 0) {
-                lf.unsafe = true; // more than one register changes
+                refuse(obs::Spc::FfRejectMultireg);
                 return;
             }
             changed = static_cast<int>(r);
@@ -897,36 +982,48 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
                 regs[r] - lf.headRegs[r]);
         }
     }
-    if (changed < 0 || step_val == 0) {
-        lf.unsafe = true; // no induction variable: diverging loop?
+    if (changed < 0) {
+        refuse(obs::Spc::FfRejectIdiom); // no induction variable
         return;
     }
 
-    const bool stable = lf.phase == 2 && d_instr == lf.dInstr &&
-        d_cycles == lf.dCycles && d_events == lf.dEvents &&
-        changed == lf.changedReg && step_val == lf.step;
-
-    lf.dInstr = d_instr;
-    lf.dCycles = d_cycles;
-    lf.dEvents = d_events;
+    // Costs are comparable only along one induction (register, step).
+    if (changed != lf.changedReg || step_val != lf.step)
+        lf.costs.clear();
     lf.changedReg = changed;
     lf.step = step_val;
-    snapshot(lf);
-    if (lf.phase == 1) {
-        lf.phase = 2;
+    lf.costs.push(d);
+    snapshot();
+
+    const int p = lf.costs.period();
+    if (p == 0) {
+        // Still warming up, or a period beyond the ring: charge the
+        // first field the newest cost does not repeat.
+        if (lf.costs.size() >= 2) {
+            const IterCost &prev = lf.costs.ago(1);
+            obs::spcInc(d.instr != prev.instr ? obs::Spc::FfRejectInstr
+                        : d.cycles != prev.cycles
+                            ? obs::Spc::FfRejectCycles
+                            : obs::Spc::FfRejectEvents);
+        }
         return;
     }
-    if (!stable)
-        return; // still warming up; keep observing
 
     // Steady state confirmed: extrapolate. The loop idiom must be
     //   cmp_imm R, T ; jne/jl back
-    if (branch_index < 1)
+    if (branch_index < 1) {
+        refuse(obs::Spc::FfRejectIdiom);
         return;
+    }
     const Inst &cmp = program->inst(CodePtr{pc.block, branch_index - 1});
     if (cmp.op != Opcode::CmpImm ||
         cmp.r1 != static_cast<Reg>(changed)) {
-        lf.unsafe = true;
+        refuse(obs::Spc::FfRejectIdiom);
+        return;
+    }
+    if (inductionSteersBody(program->block(pc.block), pc.index,
+                            branch_index, cmp.r1)) {
+        refuse(obs::Spc::FfRejectIdiom);
         return;
     }
     const std::int64_t target = cmp.imm;
@@ -936,9 +1033,8 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
     std::int64_t n; // iterations remaining until the branch falls through
     if (branch.op == Opcode::Jne) {
         const std::int64_t dist = target - cur;
-        if (step_val == 0 || dist % step_val != 0 ||
-            dist / step_val <= 0) {
-            lf.unsafe = true;
+        if (dist % step_val != 0 || dist / step_val <= 0) {
+            refuse(obs::Spc::FfRejectIdiom);
             return;
         }
         n = dist / step_val;
@@ -948,44 +1044,52 @@ Core::maybeFastForwardKeyed(std::uint64_t key, const Inst &branch,
             return;
         n = (dist + step_val - 1) / step_val;
     } else {
-        lf.unsafe = true;
+        refuse(obs::Spc::FfRejectIdiom);
         return;
     }
 
-    std::int64_t k = n - 1; // leave the final iteration interpreted
+    // Whole periods only, leaving the final iteration interpreted:
+    // the ring then stays phase-aligned across the skip.
+    std::int64_t k = (n - 1) / p;
     if (k <= 0)
         return;
 
-    if (intClient && d_cycles > 0) {
+    const IterCost per = lf.costs.sum(p);
+    if (intClient && per.cycles > 0) {
         const Cycles next = intClient->nextInterruptCycle();
-        if (next <= cycleCount)
-            return; // interrupt due: interpret towards it
-        const auto k_int = static_cast<std::int64_t>(
-            (next - cycleCount) / d_cycles);
+        const auto k_int = next <= cycleCount
+            ? 0
+            : static_cast<std::int64_t>((next - cycleCount) / per.cycles);
         k = std::min(k, k_int);
-        if (k <= 0)
+        if (k <= 0) {
+            // Interrupt due within a period: interpret towards it.
+            PCA_SPC_INC(FfRejectIrq);
             return;
+        }
     }
 
-    // Bulk-apply k iterations.
-    regs[static_cast<std::size_t>(changed)] +=
-        static_cast<std::uint64_t>(step_val * k);
+    // Bulk-apply k periods.
     const auto ku = static_cast<Count>(k);
-    instrPerMode[user] += d_instr * ku;
-    cycleCount += d_cycles * ku;
-    cyclesPerMode[user] += d_cycles * ku;
-    pmuUnit.addCycles(d_cycles * ku, Mode::User);
+    const Count iters = ku * static_cast<Count>(p);
+    regs[static_cast<std::size_t>(changed)] +=
+        static_cast<std::uint64_t>(step_val) * iters;
+    instrPerMode[user] += per.instr * ku;
+    cycleCount += per.cycles * ku;
+    cyclesPerMode[user] += per.cycles * ku;
+    pmuUnit.addCycles(per.cycles * ku, Mode::User);
     for (std::size_t e = 0; e < numEvents; ++e) {
-        if (d_events[e] == 0 ||
+        if (per.events[e] == 0 ||
             e == static_cast<std::size_t>(EventType::CpuClkUnhalted))
             continue;
-        rawEv[e][user] += d_events[e] * ku;
+        rawEv[e][user] += per.events[e] * ku;
         pmuUnit.count(static_cast<EventType>(e), Mode::User,
-                      d_events[e] * ku);
+                      per.events[e] * ku);
     }
-    ffIters += ku;
-    PCA_SPC_ADD(FastForwardIters, ku);
-    snapshot(lf); // head reflects post-bulk state
+    ffIters += iters;
+    PCA_SPC_ADD(FastForwardIters, iters);
+    if (p > 1)
+        PCA_SPC_ADD(FfPeriodicIters, iters);
+    snapshot(); // head reflects post-bulk state
 }
 
 std::vector<Addr>

@@ -9,6 +9,7 @@
 #ifndef PCA_CPU_CORE_HH
 #define PCA_CPU_CORE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <unordered_map>
@@ -23,6 +24,7 @@
 #include "cpu/trace.hh"
 #include "isa/context.hh"
 #include "isa/program.hh"
+#include "obs/spc.hh"
 #include "support/types.hh"
 
 namespace pca::obs
@@ -61,6 +63,88 @@ struct RunResult
     Cycles cycles = 0;
     Count interrupts = 0;
     Count fastForwardedIters = 0; //!< iterations applied in bulk
+};
+
+/** One loop iteration's user-mode cost: retires, cycles, raw events. */
+struct IterCost
+{
+    Count instr = 0;
+    Cycles cycles = 0;
+    std::array<Count, numEvents> events{};
+
+    bool operator==(const IterCost &) const = default;
+};
+
+/**
+ * The last 2 * maxPeriod iteration costs of one loop. A steady state
+ * of period p shows as the newest p costs repeating the p before
+ * them: the loop fast-forward extrapolates whole periods of it.
+ * Storage grows only as far as the loop needs it: a period-1 loop
+ * is confirmed with two costs held.
+ */
+class CostRing
+{
+  public:
+    static constexpr int maxPeriod = 8;
+    static constexpr std::size_t capacity = 2 * maxPeriod;
+
+    void clear() { len = 0; }
+
+    void
+    push(const IterCost &c)
+    {
+        // Until the storage is full, next == slots.size().
+        if (next == slots.size())
+            slots.push_back(c);
+        else
+            slots[next] = c;
+        next = (next + 1) % capacity;
+        len = std::min(len + 1, capacity);
+    }
+
+    int size() const { return static_cast<int>(len); }
+
+    /** The cost @p i iterations before the newest (0 = newest). */
+    const IterCost &
+    ago(int i) const
+    {
+        return slots[(next + capacity - 1 - static_cast<std::size_t>(i)) %
+                     capacity];
+    }
+
+    /** Smallest period p <= maxPeriod the ring confirms; 0 if none. */
+    int
+    period() const
+    {
+        for (int p = 1; 2 * p <= size(); ++p) {
+            int i = 0;
+            while (i < p && ago(i) == ago(i + p))
+                ++i;
+            if (i == p)
+                return p;
+        }
+        return 0;
+    }
+
+    /** Total cost of the newest @p p iterations. */
+    IterCost
+    sum(int p) const
+    {
+        IterCost s;
+        for (int i = 0; i < p; ++i) {
+            const IterCost &c = ago(i);
+            s.instr += c.instr;
+            s.cycles += c.cycles;
+            for (std::size_t e = 0; e < numEvents; ++e)
+                s.events[e] += c.events[e];
+        }
+        return s;
+    }
+
+  private:
+    std::vector<IterCost> slots;
+    std::size_t len = 0;
+    std::size_t next = 0; //!< slot the next cost is written to
 };
 
 /**
@@ -234,20 +318,18 @@ class Core : public isa::CpuContext
     /** Per-branch loop fast-forward bookkeeping. */
     struct LoopFf
     {
-        // 0 = need head snapshot, 1 = head taken, 2 = deltas known.
-        int phase = 0;
-        bool unsafe = false;
+        bool headTaken = false;
+        // Refusal charged on every back-edge once the loop shape is
+        // unsupported (FfRejectMultireg or FfRejectIdiom); NumSpcs
+        // while the loop is still a candidate.
+        obs::Spc unsafe = obs::Spc::NumSpcs;
 
         std::array<std::uint64_t, isa::numRegs> headRegs{};
-        Count headInstr = 0;
-        Cycles headCycles = 0;
-        std::array<Count, numEvents> headEvents{};
+        IterCost head;
 
-        Count dInstr = 0;
-        Cycles dCycles = 0;
-        std::array<Count, numEvents> dEvents{};
         int changedReg = -1;
         std::int64_t step = 0;
+        CostRing costs;
     };
 
     void step();

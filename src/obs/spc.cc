@@ -69,6 +69,13 @@ spcName(Spc c)
       case Spc::InlinedCalls: return "inlined_calls";
       case Spc::SuperblockBailoutReplays:
         return "superblock_bailout_replays";
+      case Spc::FfRejectInstr: return "ff_reject_instr";
+      case Spc::FfRejectCycles: return "ff_reject_cycles";
+      case Spc::FfRejectEvents: return "ff_reject_events";
+      case Spc::FfRejectMultireg: return "ff_reject_multireg";
+      case Spc::FfRejectIdiom: return "ff_reject_idiom";
+      case Spc::FfRejectIrq: return "ff_reject_irq";
+      case Spc::FfPeriodicIters: return "ff_periodic_iters";
       case Spc::NumSpcs: break;
     }
     return "?";

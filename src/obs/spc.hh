@@ -66,10 +66,18 @@ enum class Spc : std::uint8_t
     ChildTraceLinks,         //!< child-trace elements executed
     InlinedCalls,            //!< call-inlined trace elements executed
     SuperblockBailoutReplays, //!< resident passes rolled back + replayed
+    FfRejectInstr,     //!< loop back-edges refused: instr delta unstable
+    FfRejectCycles,    //!< loop back-edges refused: cycle delta unstable
+    FfRejectEvents,    //!< loop back-edges refused: event delta unstable
+    FfRejectMultireg,  //!< loop back-edges refused: >1 register changes
+    FfRejectIdiom,     //!< loop back-edges refused: not a counted loop
+    FfRejectIrq,       //!< loop back-edges refused: interrupt too close
+    FfPeriodicIters,   //!< loop iterations applied in bulk with period >= 2
     NumSpcs,
 };
 
 constexpr std::size_t numSpcs = static_cast<std::size_t>(Spc::NumSpcs);
+static_assert(numSpcs <= 64, "spcEnabledMask has one bit per counter");
 
 /** Canonical counter name ("interrupts_timer", ...). */
 const char *spcName(Spc c);

@@ -34,7 +34,10 @@ defaultThreadCount()
         return hardwareThreads();
     char *end = nullptr;
     const long v = std::strtol(spec, &end, 10);
-    if (end == spec || *end != '\0' || v < 1) {
+    const bool parsed = end != spec && *end == '\0';
+    if (parsed && v == 0)
+        return 1; // "0" = serial, like "1"
+    if (!parsed || v < 1) {
         pca_warn("PCA_THREADS: ignoring unparsable value '", spec,
                  "'");
         return hardwareThreads();

@@ -31,7 +31,8 @@ int hardwareThreads();
 
 /**
  * Worker count for study sweeps: PCA_THREADS when set (clamped to
- * [1, 256]; unparsable values warn and fall back), otherwise the
+ * [1, 256]; 0 means serial; negative and unparsable values warn and
+ * fall back to the hardware concurrency), otherwise the
  * hardware concurrency. Read from the environment on every call so
  * tests can flip it between sweeps.
  */

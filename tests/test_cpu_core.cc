@@ -515,6 +515,91 @@ TEST(CoreFastForward, MemoryLoopIsNotFastForwarded)
     EXPECT_EQ(r.userInstr, 2u + 4u * 5000u + 1u);
 }
 
+/** A cost whose cycles (and one event) tag it @p c. */
+IterCost
+cost(Cycles c)
+{
+    IterCost ic;
+    ic.instr = 3;
+    ic.cycles = c;
+    ic.events[static_cast<std::size_t>(EventType::BrMispRetired)] = c % 2;
+    return ic;
+}
+
+TEST(CostRing, ConfirmsPeriodThreeAfterTwoRepeats)
+{
+    CostRing ring;
+    for (Cycles c : {2u, 3u, 5u, 2u, 3u}) {
+        ring.push(cost(c));
+        EXPECT_EQ(ring.period(), 0);
+    }
+    ring.push(cost(5));
+    EXPECT_EQ(ring.period(), 3);
+    const IterCost per = ring.sum(3);
+    EXPECT_EQ(per.instr, 9u);
+    EXPECT_EQ(per.cycles, 10u);
+    EXPECT_EQ(per.events[static_cast<std::size_t>(
+                  EventType::BrMispRetired)],
+              2u);
+    // One more iteration in phase keeps the period confirmed.
+    ring.push(cost(2));
+    EXPECT_EQ(ring.period(), 3);
+    EXPECT_EQ(ring.ago(0), cost(2));
+    EXPECT_EQ(ring.ago(3), cost(2));
+}
+
+TEST(CostRing, SmallestPeriodWins)
+{
+    CostRing ring;
+    for (int i = 0; i < 6; ++i)
+        ring.push(cost(7));
+    EXPECT_EQ(ring.period(), 1); // also period 2 and 3, report 1
+    ring.push(cost(8));
+    EXPECT_EQ(ring.period(), 0);
+}
+
+TEST(CostRing, EventDifferenceBreaksPeriod)
+{
+    CostRing ring;
+    IterCost a = cost(4);
+    IterCost b = a;
+    b.events[static_cast<std::size_t>(EventType::IcacheMiss)] = 1;
+    ring.push(a);
+    ring.push(b);
+    EXPECT_EQ(ring.period(), 0);
+}
+
+TEST(CostRing, PeriodBeyondEightNeverConfirms)
+{
+    // Nine distinct costs repeating: the ring holds 16 < 18 entries.
+    CostRing ring;
+    for (int rep = 0; rep < 4; ++rep) {
+        for (Cycles c = 1; c <= 9; ++c) {
+            ring.push(cost(c));
+            EXPECT_EQ(ring.period(), 0);
+        }
+    }
+    EXPECT_EQ(ring.size(), 2 * CostRing::maxPeriod);
+    // Period 8 is the longest the ring confirms.
+    CostRing eight;
+    for (int rep = 0; rep < 2; ++rep)
+        for (Cycles c = 1; c <= 8; ++c)
+            eight.push(cost(c));
+    EXPECT_EQ(eight.period(), 8);
+}
+
+TEST(CostRing, ClearForgetsHistory)
+{
+    CostRing ring;
+    ring.push(cost(2));
+    ring.push(cost(2));
+    EXPECT_EQ(ring.period(), 1);
+    ring.clear();
+    EXPECT_EQ(ring.size(), 0);
+    ring.push(cost(2));
+    EXPECT_EQ(ring.period(), 0);
+}
+
 TEST(CoreReset, ClearsState)
 {
     TestMachine m;
