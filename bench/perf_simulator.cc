@@ -12,11 +12,12 @@
  * speedup, and the cache hit rate to BENCH_studies.json.
  *
  * `perf_simulator --interp [output.json]` times the interpreter on
- * the fig07/fig09 loop-sweep workload across execution tiers (legacy
- * step, decoded blocks, superblock traces) x fast-forward settings,
- * asserts every tier is architecturally invisible, and writes per-cell
- * median/min/max seconds, instr/sec, points/sec, the tier speedups,
- * and the per-reason decoded-escape SPCs to BENCH_interpreter.json.
+ * the fig07/fig09 loop-sweep workload with both execution engines
+ * (legacy step, decoded blocks) x fast-forward settings, asserts the
+ * block engine is architecturally invisible, and writes per-cell
+ * median/min/max seconds, instr/sec, points/sec, the block-over-
+ * legacy speedups, and the per-reason block-engine escape SPCs to
+ * BENCH_interpreter.json.
  *
  * `perf_simulator --counters [file]` attaches every SPC, runs a
  * small profiled workload, round-trips the counters through the
@@ -60,7 +61,6 @@
 
 #include "core/factor_space.hh"
 #include "core/study.hh"
-#include "cpu/trace.hh"
 #include "harness/harness.hh"
 #include "harness/microbench.hh"
 #include "harness/session.hh"
@@ -262,21 +262,10 @@ fmtSec(double v)
     return v >= 1e-3 || v == 0.0 ? fmtDouble(v, 4) : fmtSci(v, 3);
 }
 
-/** Loop shapes the --interp mode times (see buildInterpProgram). */
-enum class InterpWorkload
-{
-    Reg,    //!< counted add/cmp/jne loop, no memory traffic
-    Mem,    //!< load-modify-store at a fixed address per iteration
-    Nested, //!< counted inner loop inside a counted outer loop
-    Call,   //!< call+ret into a leaf function per iteration
-};
-
 /** One timed configuration of the loop-sweep workload. */
 struct InterpCell
 {
-    InterpWorkload workload = InterpWorkload::Reg;
     bool decode = false;
-    bool trace = false;  //!< superblock/trace tier (needs decode)
     bool fastForward = false;
     int batch = 1;       //!< reboot+run iterations per timed rep
     std::vector<double> secs; //!< per-rep seconds (batch amortized)
@@ -287,21 +276,7 @@ struct InterpCell
     double ips = 0.0;    //!< simulated instructions per wall second
     std::string digest;  //!< architectural + event fingerprint
 
-    const char *tierName() const
-    {
-        return !decode ? "legacy" : trace ? "trace" : "block";
-    }
-
-    const char *workloadName() const
-    {
-        switch (workload) {
-        case InterpWorkload::Reg: return "register_loop";
-        case InterpWorkload::Mem: return "memory_loop";
-        case InterpWorkload::Nested: return "nested_loop";
-        case InterpWorkload::Call: return "call_loop";
-        }
-        return "?";
-    }
+    const char *tierName() const { return decode ? "block" : "legacy"; }
 
     /** Fold the recorded reps into median and min/max spread. */
     void aggregate()
@@ -351,72 +326,6 @@ archDigest(const cpu::RunResult &r, harness::Machine &m)
  * comparable with earlier numbers.
  */
 void
-buildInterpProgram(Machine &m, InterpWorkload wk, Count iters)
-{
-    if (wk == InterpWorkload::Call) {
-        Assembler fn("leaf");
-        fn.addImm(Reg::Ebx, 1).ret();
-        m.addUserBlock(fn.take());
-    }
-    Assembler a("main");
-    switch (wk) {
-    case InterpWorkload::Reg: {
-        a.movImm(Reg::Eax, 0);
-        int loop = a.label();
-        a.addImm(Reg::Eax, 1)
-            .cmpImm(Reg::Eax, static_cast<std::int64_t>(iters))
-            .jne(loop)
-            .halt();
-        break;
-    }
-    case InterpWorkload::Mem: {
-        // Fixed-address load-modify-store: the shape the memory-
-        // resident fast path is built for.
-        a.movImm(Reg::Esi, 0).movImm(Reg::Ecx, 0x400000);
-        int loop = a.label();
-        a.load(Reg::Ebx, Reg::Ecx, 0)
-            .addImm(Reg::Ebx, 3)
-            .store(Reg::Ebx, Reg::Ecx, 0)
-            .addImm(Reg::Esi, 1)
-            .cmpImm(Reg::Esi, static_cast<std::int64_t>(iters))
-            .jne(loop)
-            .halt();
-        break;
-    }
-    case InterpWorkload::Nested: {
-        // iters/1000 outer x 1000 inner: the outer trace links the
-        // inner loop as a child trace.
-        const auto outer = static_cast<std::int64_t>(iters / 1000);
-        a.movImm(Reg::Esi, 0);
-        int out_lbl = a.label();
-        a.movImm(Reg::Ecx, 0);
-        int in_lbl = a.label();
-        a.addImm(Reg::Ecx, 1)
-            .cmpImm(Reg::Ecx, 1000)
-            .jne(in_lbl)
-            .addImm(Reg::Esi, 1)
-            .cmpImm(Reg::Esi, outer)
-            .jne(out_lbl)
-            .halt();
-        break;
-    }
-    case InterpWorkload::Call: {
-        // Call+ret into a leaf per iteration: inlined into the trace.
-        a.movImm(Reg::Esi, 0);
-        int loop = a.label();
-        a.call("leaf")
-            .addImm(Reg::Esi, 1)
-            .cmpImm(Reg::Esi, static_cast<std::int64_t>(iters))
-            .jne(loop)
-            .halt();
-        break;
-    }
-    }
-    m.addUserBlock(a.take());
-    m.finalize();
-}
-
-void
 runLoopOnce(InterpCell &cell, Count iters)
 {
     MachineConfig cfg;
@@ -425,9 +334,16 @@ runLoopOnce(InterpCell &cell, Count iters)
     cfg.interruptsEnabled = false;
     cfg.fastForward = cell.fastForward;
     cfg.decodeCache = cell.decode;
-    cfg.traceTier = cell.trace;
     Machine m(cfg);
-    buildInterpProgram(m, cell.workload, iters);
+    Assembler a("main");
+    a.movImm(Reg::Eax, 0);
+    int loop = a.label();
+    a.addImm(Reg::Eax, 1)
+        .cmpImm(Reg::Eax, static_cast<std::int64_t>(iters))
+        .jne(loop)
+        .halt();
+    m.addUserBlock(a.take());
+    m.finalize();
 
     cpu::RunResult res{};
     const auto t0 = std::chrono::steady_clock::now();
@@ -446,26 +362,22 @@ runLoopOnce(InterpCell &cell, Count iters)
         cell.digest = archDigest(res, m);
 }
 
-/** Per-reason decoded-engine escape counts for one tier setting. */
+/** Per-reason block-engine escape counts. */
 struct EscapeCounts
 {
     Count callret = 0;
     Count timeread = 0;
     Count syscall = 0;
     Count other = 0;
-    Count formed = 0;
-    Count exits = 0;
 };
 
 /**
- * Count decoded-engine escapes on a fold-heavy loop (a call+ret and
- * an rdtsc every iteration) with the trace tier on or off. With the
- * tier off every call/ret/rdtsc is a legacy-interpreter fallback;
- * with it on they fold into the decoded engine and the per-reason
- * counters collapse to ~0 — the observable form of the fold contract.
+ * Count block-engine escapes on a loop with a call+ret and an rdtsc
+ * every iteration: each of them falls back to the legacy
+ * interpreter and is charged to its per-reason counter.
  */
 EscapeCounts
-escapeCounts(bool trace, Count iters)
+escapeCounts(Count iters)
 {
     obs::spcReset();
     obs::spcAttach("all");
@@ -476,22 +388,14 @@ escapeCounts(bool trace, Count iters)
     cfg.interruptsEnabled = false;
     cfg.fastForward = false; // interpret every iteration
     cfg.decodeCache = true;
-    cfg.traceTier = trace;
     Machine m(cfg);
     {
         Assembler fn("leaf");
         fn.addImm(Reg::Ebx, 1).ret();
         m.addUserBlock(fn.take());
     }
+    // The counter lives in Esi: rdtsc writes Eax.
     Assembler a("main");
-    // A pure counted loop first (forms a superblock), then the
-    // fold-heavy loop (call+ret+rdtsc per iteration). The counter
-    // lives in Esi: rdtsc writes Eax.
-    a.movImm(Reg::Esi, 0);
-    int warm = a.label();
-    a.addImm(Reg::Esi, 1)
-        .cmpImm(Reg::Esi, static_cast<std::int64_t>(iters))
-        .jne(warm);
     a.movImm(Reg::Esi, 0);
     int loop = a.label();
     a.call("leaf")
@@ -509,49 +413,8 @@ escapeCounts(bool trace, Count iters)
     e.timeread = obs::spcValue(obs::Spc::DecodedEscapeTimeread);
     e.syscall = obs::spcValue(obs::Spc::DecodedEscapeSyscall);
     e.other = obs::spcValue(obs::Spc::DecodedEscapeOther);
-    e.formed = obs::spcValue(obs::Spc::SuperblocksFormed);
-    e.exits = obs::spcValue(obs::Spc::SuperblockExits);
     obs::spcReset();
     return e;
-}
-
-/** Trace-tier growth SPCs for one workload, interpreted, tier on. */
-struct TraceSpcs
-{
-    Count residentMemPasses = 0;
-    Count residentMemBailouts = 0;
-    Count bailoutReplays = 0;
-    Count childLinks = 0;
-    Count inlinedCalls = 0;
-    Count callretEscapes = 0;
-};
-
-TraceSpcs
-traceSpcsFor(InterpWorkload wk, Count iters)
-{
-    obs::spcReset();
-    obs::spcAttach("all");
-    MachineConfig cfg;
-    cfg.processor = cpu::Processor::AthlonX2;
-    cfg.iface = Interface::Pm;
-    cfg.interruptsEnabled = false;
-    cfg.fastForward = false;
-    cfg.decodeCache = true;
-    cfg.traceTier = true;
-    Machine m(cfg);
-    buildInterpProgram(m, wk, iters);
-    m.run();
-    TraceSpcs s;
-    s.residentMemPasses = obs::spcValue(obs::Spc::ResidentMemPasses);
-    s.residentMemBailouts =
-        obs::spcValue(obs::Spc::ResidentMemBailouts);
-    s.bailoutReplays =
-        obs::spcValue(obs::Spc::SuperblockBailoutReplays);
-    s.childLinks = obs::spcValue(obs::Spc::ChildTraceLinks);
-    s.inlinedCalls = obs::spcValue(obs::Spc::InlinedCalls);
-    s.callretEscapes = obs::spcValue(obs::Spc::DecodedEscapeCallret);
-    obs::spcReset();
-    return s;
 }
 
 /**
@@ -560,7 +423,7 @@ traceSpcsFor(InterpWorkload wk, Count iters)
  * {points/sec, error-sequence digest}.
  */
 std::pair<double, std::string>
-timeHarnessPoints(bool decode, bool trace, int runs)
+timeHarnessPoints(bool decode, int runs)
 {
     const LoopBench bench(100000);
     std::ostringstream digest;
@@ -572,7 +435,6 @@ timeHarnessPoints(bool decode, bool trace, int runs)
         cfg.pattern = AccessPattern::ReadRead;
         cfg.seed = static_cast<std::uint64_t>(r) + 1;
         cfg.decodeCache = decode;
-        cfg.traceTier = trace;
         const auto m = MeasurementHarness(cfg).measure(bench);
         digest << m.error() << '/';
     }
@@ -590,31 +452,16 @@ runInterpMode(const std::string &out_path)
 
     std::cout << "interp workload: " << iters << "-iteration loop x "
               << reps
-              << " reps, tier {trace, block, legacy} x ff {off, on} "
-                 "(dispatch: "
-              << cpu::dispatchKindName() << ")\n";
+              << " reps, tier {block, legacy} x ff {off, on}\n";
 
-    // ff off first: those cells are the headline dispatch speedups.
-    // Within one ff setting: trace, block, legacy. The memory,
-    // nested, and call workloads then exercise the trace-growth
-    // paths (resident passes, child links, inlining), interpreted
-    // only — fast-forward skips the loop bodies they exist to time.
+    // ff off first: those cells are the headline dispatch speedup.
+    // Within one ff setting: block, then legacy.
     std::vector<InterpCell> cells;
     for (const bool ff : {false, true})
-        for (const int tier : {2, 1, 0}) {
+        for (const bool decode : {true, false}) {
             InterpCell c;
-            c.decode = tier >= 1;
-            c.trace = tier == 2;
+            c.decode = decode;
             c.fastForward = ff;
-            cells.push_back(c);
-        }
-    for (const auto wk : {InterpWorkload::Mem, InterpWorkload::Nested,
-                          InterpWorkload::Call})
-        for (const int tier : {2, 1, 0}) {
-            InterpCell c;
-            c.workload = wk;
-            c.decode = tier >= 1;
-            c.trace = tier == 2;
             cells.push_back(c);
         }
 
@@ -641,114 +488,57 @@ runInterpMode(const std::string &out_path)
     for (InterpCell &c : cells)
         c.aggregate();
 
-    bool identical = true;
     for (const InterpCell &c : cells) {
-        std::cout << padRight(c.workloadName(), 14)
-                  << padRight(c.tierName(), 6) << " tier, ff "
+        std::cout << padRight(c.tierName(), 6) << " tier, ff "
                   << (c.fastForward ? "on " : "off") << " (batch "
                   << c.batch << "): " << fmtSec(c.sec)
                   << " s (min " << fmtSec(c.secMin) << ", max "
                   << fmtSec(c.secMax) << "), "
                   << fmtDouble(c.ips / 1e6, 2) << " M instr/s\n";
     }
-    // The tiers must be invisible: compare digests within each
-    // (workload, ff) triple (trace vs block vs legacy), never
-    // across workloads or ff settings.
-    for (std::size_t i = 0; i < cells.size(); i += 3) {
-        if (cells[i].digest != cells[i + 1].digest ||
-            cells[i].digest != cells[i + 2].digest) {
-            std::cerr << "FATAL: an execution tier changed "
-                         "architectural state ("
-                      << cells[i].workloadName() << ", ff "
+    // The block engine must be invisible: compare digests within
+    // each ff pair, never across ff settings.
+    for (std::size_t i = 0; i < cells.size(); i += 2) {
+        if (cells[i].digest != cells[i + 1].digest) {
+            std::cerr << "FATAL: the block engine changed "
+                         "architectural state (ff "
                       << (cells[i].fastForward ? "on" : "off")
                       << ")\n";
-            identical = false;
+            return 1;
         }
     }
-    if (!identical)
-        return 1;
 
-    // cells: [0]=trace [1]=block [2]=legacy (ff off), [3..5] ff on,
-    // then one interpreted triple per extra workload:
-    // [6..8]=memory, [9..11]=nested, [12..14]=call.
-    const auto tierRatio = [&cells](std::size_t fast,
-                                    std::size_t slow) {
-        return cells[slow].ips > 0
-                   ? cells[fast].ips / cells[slow].ips
-                   : 0.0;
+    // cells: [0]=block [1]=legacy (ff off), [2]=block [3]=legacy
+    // (ff on).
+    const auto ratio = [&cells](std::size_t fast, std::size_t slow) {
+        return cells[slow].ips > 0 ? cells[fast].ips / cells[slow].ips
+                                   : 0.0;
     };
-    const double speedup = tierRatio(1, 2);
-    const double traceSpeedup = tierRatio(0, 1);
-    const double speedupFf = tierRatio(4, 5);
-    const double traceSpeedupFf = tierRatio(3, 4);
-    const double memTraceSpeedup = tierRatio(6, 7);
-    const double nestedTraceSpeedup = tierRatio(9, 10);
-    const double callTraceSpeedup = tierRatio(12, 13);
+    const double speedup = ratio(0, 1);
+    const double speedupFf = ratio(2, 3);
     std::cout << "block-over-legacy speedup: "
               << fmtDouble(speedup, 2) << "x (interpreted), "
-              << fmtDouble(speedupFf, 2) << "x (fast-forwarded)\n"
-              << "trace-over-block speedup: "
-              << fmtDouble(traceSpeedup, 2) << "x (interpreted), "
-              << fmtDouble(traceSpeedupFf, 2)
-              << "x (fast-forwarded)\n"
-              << "trace-over-block by workload: memory "
-              << fmtDouble(memTraceSpeedup, 2) << "x, nested "
-              << fmtDouble(nestedTraceSpeedup, 2) << "x, call "
-              << fmtDouble(callTraceSpeedup, 2) << "x\n";
+              << fmtDouble(speedupFf, 2) << "x (fast-forwarded)\n";
 
-    // Trace-growth SPCs: the mechanisms behind those workload
-    // speedups, observable.
-    const TraceSpcs memSpcs =
-        traceSpcsFor(InterpWorkload::Mem, escapeIters);
-    const TraceSpcs nestedSpcs =
-        traceSpcsFor(InterpWorkload::Nested, escapeIters);
-    const TraceSpcs callSpcs =
-        traceSpcsFor(InterpWorkload::Call, escapeIters);
-    std::cout << "trace growth: resident mem passes "
-              << memSpcs.residentMemPasses << " (bailouts "
-              << memSpcs.residentMemBailouts << ", replays "
-              << memSpcs.bailoutReplays << "), child links "
-              << nestedSpcs.childLinks << ", inlined calls "
-              << callSpcs.inlinedCalls << " (callret escapes "
-              << callSpcs.callretEscapes << ")\n";
-    if (callSpcs.callretEscapes != 0) {
-        std::cerr << "FATAL: call/ret escaped the trace tier with "
-                     "inlining on\n";
-        return 1;
-    }
+    const EscapeCounts esc = escapeCounts(escapeIters);
+    std::cout << "block-engine escapes (call+rdtsc loop, "
+              << escapeIters << " iters): callret " << esc.callret
+              << ", timeread " << esc.timeread << ", syscall "
+              << esc.syscall << ", other " << esc.other << "\n";
 
-    // Per-reason escape counts: the fold contract, observable.
-    const EscapeCounts escOff = escapeCounts(false, escapeIters);
-    const EscapeCounts escOn = escapeCounts(true, escapeIters);
-    std::cout << "decoded escapes (fold workload, " << escapeIters
-              << " iters), tier off -> on: callret " << escOff.callret
-              << " -> " << escOn.callret << ", timeread "
-              << escOff.timeread << " -> " << escOn.timeread
-              << ", syscall " << escOff.syscall << " -> "
-              << escOn.syscall << ", other " << escOff.other
-              << " -> " << escOn.other << "; superblocks "
-              << escOn.formed << " formed, " << escOn.exits
-              << " exits\n";
-
-    const auto [tracePps, traceDigest] =
-        timeHarnessPoints(true, true, harnessRuns);
-    const auto [onPps, onDigest] =
-        timeHarnessPoints(true, false, harnessRuns);
+    const auto [onPps, onDigest] = timeHarnessPoints(true, harnessRuns);
     const auto [offPps, offDigest] =
-        timeHarnessPoints(false, false, harnessRuns);
-    if (onDigest != offDigest || traceDigest != offDigest) {
-        std::cerr << "FATAL: an execution tier changed measurement "
+        timeHarnessPoints(false, harnessRuns);
+    if (onDigest != offDigest) {
+        std::cerr << "FATAL: the block engine changed measurement "
                      "errors\n";
         return 1;
     }
     const double harnessSpeedup = offPps > 0 ? onPps / offPps : 0.0;
-    const double harnessTraceSpeedup =
-        onPps > 0 ? tracePps / onPps : 0.0;
-    std::cout << "measurement points/sec: " << fmtDouble(tracePps, 2)
-              << " (trace) vs " << fmtDouble(onPps, 2)
+    std::cout << "measurement points/sec: " << fmtDouble(onPps, 2)
               << " (block) vs " << fmtDouble(offPps, 2)
-              << " (legacy), trace-over-block "
-              << fmtDouble(harnessTraceSpeedup, 2) << "x\n";
+              << " (legacy), block-over-legacy "
+              << fmtDouble(harnessSpeedup, 2) << "x\n";
 
     std::ofstream os(out_path);
     if (!os) {
@@ -759,14 +549,11 @@ runInterpMode(const std::string &out_path)
        << "  \"workload\": \"loop_sweep_interp\",\n"
        << "  \"loop_iters\": " << iters << ",\n"
        << "  \"reps\": " << reps << ",\n"
-       << "  \"dispatch\": \"" << cpu::dispatchKindName() << "\",\n"
        << "  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const InterpCell &c = cells[i];
-        os << "    {\"workload\": \"" << c.workloadName() << "\""
-           << ", \"tier\": \"" << c.tierName() << "\""
+        os << "    {\"tier\": \"" << c.tierName() << "\""
            << ", \"decode\": " << (c.decode ? "true" : "false")
-           << ", \"trace\": " << (c.trace ? "true" : "false")
            << ", \"fast_forward\": "
            << (c.fastForward ? "true" : "false")
            << ", \"batch\": " << c.batch
@@ -781,56 +568,19 @@ runInterpMode(const std::string &out_path)
        << "  \"decode_speedup\": " << fmtDouble(speedup, 3) << ",\n"
        << "  \"decode_speedup_ff\": " << fmtDouble(speedupFf, 3)
        << ",\n"
-       << "  \"trace_speedup\": " << fmtDouble(traceSpeedup, 3)
-       << ",\n"
-       << "  \"trace_speedup_ff\": " << fmtDouble(traceSpeedupFf, 3)
-       << ",\n"
-       << "  \"mem_trace_speedup\": "
-       << fmtDouble(memTraceSpeedup, 3) << ",\n"
-       << "  \"nested_trace_speedup\": "
-       << fmtDouble(nestedTraceSpeedup, 3) << ",\n"
-       << "  \"call_trace_speedup\": "
-       << fmtDouble(callTraceSpeedup, 3) << ",\n"
-       << "  \"trace_growth_spcs\": {\n"
-       << "    \"workload_iters\": " << escapeIters << ",\n"
-       << "    \"memory_loop\": {\"resident_mem_passes\": "
-       << memSpcs.residentMemPasses << ", \"resident_mem_bailouts\": "
-       << memSpcs.residentMemBailouts
-       << ", \"superblock_bailout_replays\": "
-       << memSpcs.bailoutReplays << "},\n"
-       << "    \"nested_loop\": {\"child_trace_links\": "
-       << nestedSpcs.childLinks
-       << ", \"superblock_bailout_replays\": "
-       << nestedSpcs.bailoutReplays << "},\n"
-       << "    \"call_loop\": {\"inlined_calls\": "
-       << callSpcs.inlinedCalls << ", \"callret_escapes\": "
-       << callSpcs.callretEscapes << "}\n"
-       << "  },\n"
-       << "  \"escape_spcs\": {\n"
-       << "    \"workload_iters\": " << escapeIters << ",\n"
-       << "    \"tier_off\": {\"callret\": " << escOff.callret
-       << ", \"timeread\": " << escOff.timeread
-       << ", \"syscall\": " << escOff.syscall
-       << ", \"other\": " << escOff.other << "},\n"
-       << "    \"tier_on\": {\"callret\": " << escOn.callret
-       << ", \"timeread\": " << escOn.timeread
-       << ", \"syscall\": " << escOn.syscall
-       << ", \"other\": " << escOn.other
-       << ", \"superblocks_formed\": " << escOn.formed
-       << ", \"superblock_exits\": " << escOn.exits << "}\n"
-       << "  },\n"
+       << "  \"escape_spcs\": {\"workload_iters\": " << escapeIters
+       << ", \"callret\": " << esc.callret
+       << ", \"timeread\": " << esc.timeread
+       << ", \"syscall\": " << esc.syscall
+       << ", \"other\": " << esc.other << "},\n"
        << "  \"harness_workload\": \"fig07_loop_interrupts\",\n"
        << "  \"harness_runs\": " << harnessRuns << ",\n"
-       << "  \"harness_points_per_sec_trace\": "
-       << fmtDouble(tracePps, 2) << ",\n"
        << "  \"harness_points_per_sec_on\": " << fmtDouble(onPps, 2)
        << ",\n"
        << "  \"harness_points_per_sec_off\": "
        << fmtDouble(offPps, 2) << ",\n"
        << "  \"harness_decode_speedup\": "
        << fmtDouble(harnessSpeedup, 3) << ",\n"
-       << "  \"harness_trace_speedup\": "
-       << fmtDouble(harnessTraceSpeedup, 3) << ",\n"
        << "  \"outputs_identical\": true\n"
        << "}\n";
     std::cout << "wrote " << out_path << "\n";

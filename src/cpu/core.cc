@@ -35,8 +35,6 @@ Core::Core(const MicroArch &arch)
     };
     icLineShift = shift_of(icache.lineBytes());
     itlbPageShift = shift_of(itlb.lineBytes());
-    dcLineShift = shift_of(dcache.lineBytes());
-    dtlbPageShift = shift_of(dtlb.lineBytes());
     // The block engine nests its iTLB-page check inside the
     // icache-line check: lines must subdivide pages.
     pca_assert(icLineShift <= itlbPageShift);
@@ -48,10 +46,6 @@ Core::setProgram(const isa::Program *prog)
 {
     pca_assert(prog && prog->linked());
     program = prog;
-    // Superblocks index into the program's decoded images; a program
-    // switch (or relink) invalidates every trace.
-    traces.clear();
-    traceHeat.clear();
 }
 
 std::uint64_t &
@@ -185,7 +179,7 @@ Core::run(CodePtr entry, Count max_instr)
         }
         if (decodeOn && !pmuUnit.samplingActive() &&
             prof == nullptr) {
-            steps += traceOn ? stepTraceTier() : stepDecodedBlock();
+            steps += stepDecodedBlock();
         } else {
             // Sampling sessions and an attached profiler force pure
             // interpretation: overflow (or the retired-PC ground
@@ -199,12 +193,12 @@ Core::run(CodePtr entry, Count max_instr)
                       " steps without halting");
         if (deadlineInstrs != 0 || deadlineCycles != 0) {
             // The watchdog. Checked only at dispatch boundaries
-            // (each tier caps a dispatch at one chunk, so a wedged
-            // kernel loop trips it within one chunk of the budget);
-            // the message names the budgets, not the position the
-            // overrun was observed at, because that position differs
-            // across execution tiers while the degraded-row note
-            // derived from this message must not.
+            // (the block engine caps a dispatch at one chunk, so a
+            // wedged kernel loop trips it within one chunk of the
+            // budget); the message names the budgets, not the
+            // position the overrun was observed at, because that
+            // position differs between the two engines while the
+            // degraded-row note derived from this message must not.
             const Count retired =
                 instrPerMode[0] + instrPerMode[1];
             if ((deadlineInstrs != 0 && retired > deadlineInstrs) ||
@@ -310,6 +304,33 @@ Core::step()
         maybeFastForwardKeyed(key, in, prev_index);
     }
 }
+
+namespace
+{
+
+/**
+ * Escape-accounting class of a block-engine dispatch exit: which SPC
+ * a fallback to the legacy interpreter is charged to.
+ */
+obs::Spc
+escapeSpc(Opcode op)
+{
+    switch (op) {
+      case Opcode::Call:
+      case Opcode::Ret:
+        return obs::Spc::DecodedEscapeCallret;
+      case Opcode::Rdtsc:
+      case Opcode::Rdpmc:
+        return obs::Spc::DecodedEscapeTimeread;
+      case Opcode::Syscall:
+      case Opcode::Iret:
+        return obs::Spc::DecodedEscapeSyscall;
+      default:
+        return obs::Spc::DecodedEscapeOther;
+    }
+}
+
+} // namespace
 
 /**
  * Execute one straight-line run of pre-decoded instructions in a
@@ -1150,11 +1171,6 @@ Core::reset()
     poisonSinceBackward = true;
     lastFetchLine = ~Addr{0};
     lastFetchPage = ~Addr{0};
-    // Power-on reset re-warms the trace tier from scratch: reboot()
-    // equivalence requires a rebooted machine to form (and count)
-    // its superblocks exactly like a fresh boot.
-    traces.clear();
-    traceHeat.clear();
 }
 
 } // namespace pca::cpu

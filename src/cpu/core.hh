@@ -21,7 +21,6 @@
 #include "cpu/microarch.hh"
 #include "cpu/pmu.hh"
 #include "cpu/predictor.hh"
-#include "cpu/trace.hh"
 #include "isa/context.hh"
 #include "isa/program.hh"
 #include "obs/spc.hh"
@@ -196,28 +195,15 @@ class Core : public isa::CpuContext
     void setDecodeCacheEnabled(bool on) { decodeOn = on; }
 
     /**
-     * Enable/disable the superblock/trace tier (default on; only
-     * active while the decode cache is on). When enabled, hot loop
-     * heads are chained into superblocks executed with threaded
-     * dispatch, and the foldable escape classes (call/ret,
-     * time-reads, MSR access, syscall entry/exit) execute inside the
-     * decoded engine instead of falling back to the legacy
-     * interpreter. Results are identical either way (asserted by
-     * tests/test_trace.cc); like the decode cache, the tier disarms
-     * itself under PMU sampling or an attached profiler.
-     */
-    void setTraceTierEnabled(bool on) { traceOn = on; }
-
-    /**
      * Watchdog budgets for run(): abort with
      * StatusError(DeadlineExceeded) once the run has retired more
      * than @p instrs instructions or accumulated more than
      * @p cycles virtual cycles (0 = that budget is unlimited). The
-     * check sits in run()'s outer dispatch loop, so every execution
-     * tier trips it within one dispatch chunk of the budget —
+     * check sits in run()'s outer dispatch loop, so both execution
+     * engines trip it within one dispatch chunk of the budget —
      * including a handler wedged in kernel mode, where interrupts
      * are never polled and nothing else could regain control.
-     * Persists across reset(): like the tier toggles, it models the
+     * Persists across reset(): like the engine toggles, it models the
      * harness, not machine state.
      */
     void
@@ -334,15 +320,6 @@ class Core : public isa::CpuContext
 
     void step();
     Count stepDecodedBlock();
-    Count stepTraceTier();
-    Count runSuperblock(const Superblock &sb, bool check_irq,
-                        Cycles irq_due, Count budget);
-    std::uint64_t runBulkPasses(const Superblock &sb,
-                                std::uint64_t passCap);
-    /** Existing trace for (block, head), building it when the head
-     * crosses the hotness threshold; null until then (or forever,
-     * for unprofitable heads). */
-    const Superblock *traceFor(int block, int head);
     void execute(const isa::Inst &in);
     void deliverInterrupt(int vector);
     void chargeCycles(Cycles c);
@@ -410,32 +387,8 @@ class Core : public isa::CpuContext
     bool decodeOn = true;
     int icLineShift = 0;
     int itlbPageShift = 0;
-    int dcLineShift = 0;
-    int dtlbPageShift = 0;
     Addr lastFetchLine = ~Addr{0};
     Addr lastFetchPage = ~Addr{0};
-
-    // Memory-resident pass scratch (see runSuperblock): the
-    // dcache-line / dTLB-page key of each memory element's address
-    // on the most recent element-wise pass, and the pass-local store
-    // buffer a resident pass stages its writes in. Pure scratch —
-    // holds no state across dispatches that affects results.
-    std::vector<Addr> sbMemLine;
-    std::vector<Addr> sbMemPage;
-    std::vector<std::pair<Addr, std::uint64_t>> sbStoreBuf;
-    /** Direct-threaded bulk-pass body (translated from the
-     * superblock's BulkOps on each runBulkPasses entry). */
-    std::vector<ThreadedBulkOp> sbBulkCode;
-
-    // Trace-tier state. Traces and heat counters are derivatives of
-    // the immutable decoded program (no architectural or PMU state),
-    // keyed by (block id << 32 | head index). reset() and
-    // setProgram() drop them wholesale: a rebooted machine re-warms
-    // its traces exactly like a fresh boot, and a relinked program
-    // can never execute through stale images.
-    bool traceOn = true;
-    std::unordered_map<std::uint64_t, Superblock> traces;
-    std::unordered_map<std::uint64_t, std::uint32_t> traceHeat;
 
     // Run-deadline watchdog budgets (0 = unlimited). Survive
     // reset(): they model harness policy, not machine state.

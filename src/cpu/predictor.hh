@@ -67,15 +67,6 @@ class BranchPredictor
      */
     void noteUncond(Addr addr) { btb.accessHot(addr); }
 
-    /**
-     * Account @p n lookups whose outcomes are proven no-ops: the
-     * trace tier's resident passes re-execute branches whose bimodal
-     * counters are saturated in the repeated direction, so training
-     * cannot move them and no prediction can miss — only the lookup
-     * count advances.
-     */
-    void noteSteadyLookups(std::uint64_t n) { lookupCount += n; }
-
     /** Forget all state (new program / context switch flush). */
     void reset();
 

@@ -16,20 +16,14 @@ defaultDecodeCache()
     const char *spec = std::getenv("PCA_DECODE");
     if (!spec || !*spec)
         return true;
-    return !(std::strcmp(spec, "0") == 0 ||
-             std::strcmp(spec, "off") == 0 ||
-             std::strcmp(spec, "false") == 0);
-}
-
-bool
-defaultTraceTier()
-{
-    const char *spec = std::getenv("PCA_TRACE_TIER");
-    if (!spec || !*spec)
-        return true;
-    return !(std::strcmp(spec, "0") == 0 ||
-             std::strcmp(spec, "off") == 0 ||
-             std::strcmp(spec, "false") == 0);
+    for (const char *on : {"1", "on", "true"})
+        if (std::strcmp(spec, on) == 0)
+            return true;
+    for (const char *off : {"0", "off", "false"})
+        if (std::strcmp(spec, off) == 0)
+            return false;
+    pca_warn("PCA_DECODE: ignoring unparsable value '", spec, "'");
+    return true;
 }
 
 const char *

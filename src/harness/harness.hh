@@ -47,20 +47,14 @@ void validateHarnessConfig(const HarnessConfig &cfg);
 
 /**
  * Process-wide default for HarnessConfig::decodeCache: true unless
- * the environment sets PCA_DECODE=0/off/false. Because the canned
+ * the environment sets PCA_DECODE=0/off/false (1/on/true keep it on;
+ * any other value warns and keeps the default). Because the canned
  * studies build their HarnessConfigs from factor points (which do not
  * carry the toggle), this is the one switch that flips the whole
  * study pipeline to pure per-step interpretation — the lever the
  * byte-identity tests and the ablation bench pull.
  */
 bool defaultDecodeCache();
-
-/**
- * Process-wide default for HarnessConfig::traceTier: true unless the
- * environment sets PCA_TRACE_TIER=0/off/false (PCA_TRACE belongs to
- * the event tracer). Only meaningful while the decode cache is on.
- */
-bool defaultTraceTier();
 
 /** One point in the experiment factor space. */
 struct HarnessConfig
@@ -89,8 +83,8 @@ struct HarnessConfig
     bool fastForward = true;
     /** Pre-decoded block engine (results identical; see DESIGN §6). */
     bool decodeCache = defaultDecodeCache();
-    /** Superblock/trace tier (results identical; see DESIGN §6.10). */
-    bool traceTier = defaultTraceTier();
+    /** Ignored; kept only because perfbench/cc/pcabench.cc sets it. */
+    bool traceTier = false;
 
     /**
      * Fault-injection plan for the machines this config boots

@@ -84,7 +84,6 @@ Machine::finalize(Addr user_text_offset)
     coreImpl->setProgram(&prog);
     coreImpl->setFastForwardEnabled(cfg.fastForward);
     coreImpl->setDecodeCacheEnabled(cfg.decodeCache);
-    coreImpl->setTraceTierEnabled(cfg.traceTier);
     coreImpl->setRunDeadline(
         cfg.runInstrBudget != 0 ? cfg.runInstrBudget
                                 : cfg.faults.watchdogInstrs,
@@ -121,7 +120,6 @@ Machine::reboot(std::uint64_t seed)
     coreImpl->reset();
     coreImpl->setFastForwardEnabled(cfg.fastForward);
     coreImpl->setDecodeCacheEnabled(cfg.decodeCache);
-    coreImpl->setTraceTierEnabled(cfg.traceTier);
     coreImpl->setRunDeadline(
         cfg.runInstrBudget != 0 ? cfg.runInstrBudget
                                 : cfg.faults.watchdogInstrs,

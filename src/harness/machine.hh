@@ -44,8 +44,6 @@ struct MachineConfig
     bool fastForward = true;
     /** Pre-decoded basic-block execution (results identical). */
     bool decodeCache = true;
-    /** Superblock/trace tier on top of it (results identical). */
-    bool traceTier = true;
 
     /**
      * Load the perf_event analogue instead of the interface's

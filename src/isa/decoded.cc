@@ -85,33 +85,10 @@ ffSafe(Opcode op)
     }
 }
 
-/**
- * Escapes the trace-tier engine folds after flushing its batches.
- * Call is conditional on symbol resolution (see build below); HostOp
- * and Halt are never foldable — they stay true escapes.
- */
-bool
-foldableOp(Opcode op)
-{
-    switch (op) {
-      case Opcode::Call:
-      case Opcode::Ret:
-      case Opcode::Rdtsc:
-      case Opcode::Rdpmc:
-      case Opcode::Rdmsr:
-      case Opcode::Wrmsr:
-      case Opcode::Syscall:
-      case Opcode::Iret:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace
 
 void
-DecodedBlock::build(const CodeBlock &blk, const CallResolver &resolve)
+DecodedBlock::build(const CodeBlock &blk)
 {
     const std::size_t n = blk.size();
     code.assign(n, DecodedInst{});
@@ -130,23 +107,6 @@ DecodedBlock::build(const CodeBlock &blk, const CallResolver &resolve)
 
         if (!inlineOp(in.op))
             di.flags |= DiEscape;
-        if (foldableOp(in.op)) {
-            if (in.op == Opcode::Call) {
-                // A call folds only once its callee is resolved to a
-                // concrete block entry; otherwise the legacy
-                // interpreter keeps sole ownership of its semantics.
-                std::int32_t callee = -1;
-                Addr entry = 0;
-                di.targetIndex = -1;
-                if (resolve && resolve(in.callee, callee, entry)) {
-                    di.targetIndex = callee;
-                    di.targetAddr = entry;
-                    di.flags |= DiFoldable;
-                }
-            } else {
-                di.flags |= DiFoldable;
-            }
-        }
         if (ffSafe(in.op))
             di.flags |= DiFfSafe;
         if (isCondBranch(in.op))

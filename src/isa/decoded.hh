@@ -21,8 +21,6 @@
 #define PCA_ISA_DECODED_HH
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "isa/codeblock.hh"
@@ -48,15 +46,6 @@ enum DecodedFlags : std::uint8_t
      * mode, PMU programming, or the current code block.
      */
     DiEscape = 1 << 3,
-    /**
-     * An escape the trace-tier engine knows how to execute inline
-     * after flushing its batched state: call/ret (decoded
-     * return-address stack), the time-read and MSR opcodes, and the
-     * syscall/iret mode transitions. Always set together with
-     * DiEscape — the basic-block engine ignores it, so the tier-off
-     * behaviour is untouched.
-     */
-    DiFoldable = 1 << 4,
 };
 
 /**
@@ -71,31 +60,15 @@ struct DecodedInst
     std::uint8_t r1 = 0;
     std::uint8_t r2 = 0;
     std::int32_t size = 0;
-    /**
-     * Branches: block-local target index. Call: link-resolved callee
-     * block id (the cross-block analogue), -1 when unresolved — an
-     * unresolved call stays a plain escape.
-     */
+    /** Branches: block-local target index (-1 for non-branches). */
     std::int32_t targetIndex = -1;
     std::int64_t imm = 0;
     Addr addr = 0;
-    /**
-     * Link-resolved byte address of targetIndex: the branch target,
-     * or the callee's entry address for a resolved Call.
-     */
+    /** Link-resolved byte address of a branch's target. */
     Addr targetAddr = 0;
 
     bool escape() const { return (flags & DiEscape) != 0; }
-    bool foldable() const { return (flags & DiFoldable) != 0; }
 };
-
-/**
- * Link-time symbol resolver for Call instructions: fills the callee's
- * block id and entry address, returns false when the symbol cannot be
- * resolved (the call then stays a plain escape).
- */
-using CallResolver = std::function<bool(
-    const std::string &callee, std::int32_t &block, Addr &entry)>;
 
 /**
  * The decoded image of one CodeBlock plus its straight-line run
@@ -106,11 +79,10 @@ class DecodedBlock
 {
   public:
     /**
-     * (Re)build from a laid-out block. @p resolve (may be empty)
-     * resolves Call targets across blocks so the trace tier can fold
-     * them; layout must be final (addresses already assigned).
+     * (Re)build from a laid-out block; layout must be final
+     * (addresses already assigned).
      */
-    void build(const CodeBlock &blk, const CallResolver &resolve = {});
+    void build(const CodeBlock &blk);
 
     std::size_t size() const { return code.size(); }
     const DecodedInst *data() const { return code.data(); }

@@ -49,20 +49,8 @@ Program::link2(Addr user_base, Addr kernel_base, Addr align)
         totalBytes += blocks[i].bytes();
     }
     decodedBlocks.resize(blocks.size());
-    // Calls resolve across blocks, so decode runs after every block
-    // has its final layout (entry addresses are link products).
-    const CallResolver resolve = [this](const std::string &callee,
-                                        std::int32_t &blk,
-                                        Addr &entry) {
-        const int id = find(callee);
-        if (id < 0 || blocks[static_cast<std::size_t>(id)].size() == 0)
-            return false;
-        blk = id;
-        entry = blocks[static_cast<std::size_t>(id)].inst(0).addr;
-        return true;
-    };
     for (std::size_t i = 0; i < blocks.size(); ++i)
-        decodedBlocks[i].build(blocks[i], resolve);
+        decodedBlocks[i].build(blocks[i]);
     isLinked = true;
 }
 

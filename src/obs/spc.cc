@@ -62,13 +62,6 @@ spcName(Spc c)
         return "checkpoint_points_written";
       case Spc::CheckpointPointsResumed:
         return "checkpoint_points_resumed";
-      case Spc::ResidentMemPasses: return "resident_mem_passes";
-      case Spc::ResidentMemBailouts:
-        return "resident_mem_bailouts";
-      case Spc::ChildTraceLinks: return "child_trace_links";
-      case Spc::InlinedCalls: return "inlined_calls";
-      case Spc::SuperblockBailoutReplays:
-        return "superblock_bailout_replays";
       case Spc::FfRejectInstr: return "ff_reject_instr";
       case Spc::FfRejectCycles: return "ff_reject_cycles";
       case Spc::FfRejectEvents: return "ff_reject_events";

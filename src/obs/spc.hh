@@ -52,6 +52,8 @@ enum class Spc : std::uint8_t
     DecodedEscapeTimeread, //!< decoded-engine exits at rdtsc/rdpmc
     DecodedEscapeSyscall,  //!< decoded-engine exits at syscall/iret
     DecodedEscapeOther,    //!< decoded-engine exits at hostop/halt/...
+    // Always 0 since the trace tier was removed; still registered
+    // because perfbench/run.py --trace 1 reads both by name.
     SuperblocksFormed,     //!< superblocks (traces) built
     SuperblockExits,       //!< superblock executions ended (any reason)
     ParallelWorkerErrors,  //!< worker errors captured by parallelFor
@@ -61,11 +63,6 @@ enum class Spc : std::uint8_t
     PointsQuarantined,     //!< points that burned their retry budget
     CheckpointPointsWritten, //!< points recorded to a checkpoint
     CheckpointPointsResumed, //!< points skipped via a checkpoint
-    ResidentMemPasses,       //!< memory-resident passes executed in bulk
-    ResidentMemBailouts,     //!< resident passes abandoned (address drift)
-    ChildTraceLinks,         //!< child-trace elements executed
-    InlinedCalls,            //!< call-inlined trace elements executed
-    SuperblockBailoutReplays, //!< resident passes rolled back + replayed
     FfRejectInstr,     //!< loop back-edges refused: instr delta unstable
     FfRejectCycles,    //!< loop back-edges refused: cycle delta unstable
     FfRejectEvents,    //!< loop back-edges refused: event delta unstable

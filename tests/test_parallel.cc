@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "kernel/faults.hh"
+#include "support/logging.hh"
 #include "support/parallel.hh"
 #include "support/random.hh"
 
@@ -165,6 +167,41 @@ TEST(ParallelThreads, EnvControlsDefaultCount)
     EXPECT_EQ(defaultThreadCount(), 1);
     unsetenv("PCA_THREADS");
     EXPECT_EQ(defaultThreadCount(), hardwareThreads());
+}
+
+TEST(DecodeEnv, TyposWarnAndKeepDefault)
+{
+    struct RecordingSink : LogSink
+    {
+        void
+        emit(const std::string &level, const std::string &msg) override
+        {
+            lines.push_back(level + ": " + msg);
+        }
+        std::vector<std::string> lines;
+    };
+    RecordingSink sink;
+    LogSink *prev = setLogSink(&sink);
+    for (const char *on : {"1", "on", "true"}) {
+        setenv("PCA_DECODE", on, 1);
+        EXPECT_TRUE(defaultDecodeCache()) << on;
+    }
+    for (const char *off : {"0", "off", "false"}) {
+        setenv("PCA_DECODE", off, 1);
+        EXPECT_FALSE(defaultDecodeCache()) << off;
+    }
+    EXPECT_TRUE(sink.lines.empty());
+    // Typos keep the default (on) and say so, like PCA_THREADS.
+    for (const char *typo : {"of", "no", "2"}) {
+        setenv("PCA_DECODE", typo, 1);
+        EXPECT_TRUE(defaultDecodeCache()) << typo;
+    }
+    unsetenv("PCA_DECODE");
+    EXPECT_TRUE(defaultDecodeCache());
+    setLogSink(prev);
+    ASSERT_EQ(sink.lines.size(), 3u);
+    EXPECT_EQ(sink.lines[0],
+              "warn: PCA_DECODE: ignoring unparsable value 'of'");
 }
 
 TEST(ParallelThreads, AutoSpecMeansHardwareConcurrency)
