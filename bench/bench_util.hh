@@ -11,9 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/harness.hh"
-#include "harness/microbench.hh"
-#include "harness/session.hh"
 #include "obs/env.hh"
 #include "stats/descriptive.hh"
 #include "support/random.hh"
@@ -45,31 +42,6 @@ paperRef(const std::string &what, double paper, double measured,
               << padLeft(fmtDouble(paper, digits), 9)
               << "   measured "
               << padLeft(fmtDouble(measured, digits), 9) << '\n';
-}
-
-/**
- * Collect null-benchmark errors for one configuration, through the
- * same cached per-point path the study engine uses (one assembled
- * program, rebooted per run — values identical to building a fresh
- * MeasurementHarness for every run, which this helper used to do).
- */
-inline std::vector<double>
-nullErrors(harness::HarnessConfig cfg, int runs,
-           std::uint64_t seed = 12345)
-{
-    harness::ProgramCache cache(1);
-    const harness::NullBench bench;
-    std::vector<double> errs;
-    errs.reserve(static_cast<std::size_t>(runs));
-    for (const StatusOr<harness::Measurement> &m :
-         harness::measurePoint(
-             cache, cfg, bench, runs, [seed](int r) {
-                 return mixSeed(seed,
-                                static_cast<std::uint64_t>(r));
-             }))
-        if (m.ok())
-            errs.push_back(static_cast<double>(m->error()));
-    return errs;
 }
 
 } // namespace pca::bench

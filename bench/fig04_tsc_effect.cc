@@ -11,6 +11,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "core/factor_space.hh"
+#include "core/study.hh"
 #include "stats/boxplot.hh"
 
 int
@@ -19,13 +21,39 @@ main()
     using namespace pca;
     using harness::AccessPattern;
     using harness::CountingMode;
-    using harness::HarnessConfig;
-    using harness::Interface;
 
     bench::banner("Figure 4",
                   "Using the TSC reduces error on perfctr (CD)");
 
-    constexpr int runs = 9;
+    // perfctr on Core 2 Duo, TSC off and on, every run seeded
+    // mixSeed(12345, run) at every point.
+    const auto tsc_study = [](const char *name,
+                              core::FactorSpace space, int runs) {
+        space.processors({cpu::Processor::Core2Duo})
+            .interfaces({harness::Interface::Pc})
+            .tscSettings({false, true});
+        core::StudySpec spec =
+            core::nullSweep(name, space.generate(), runs);
+        spec.identity = "seed=12345|runs=" + std::to_string(runs);
+        spec.obs = core::StudyObsOptions::fromEnv();
+        spec.seed = [](std::size_t, int r) {
+            return mixSeed(12345, static_cast<std::uint64_t>(r));
+        };
+        return core::runStudy(spec);
+    };
+    const auto errors = [](const core::DataTable &t, CountingMode mode,
+                           AccessPattern pat, bool tsc) {
+        return t.filtered("mode", harness::countingModeName(mode))
+            .filtered("pattern", harness::patternName(pat))
+            .filtered("tsc", tsc ? "on" : "off")
+            .okValues();
+    };
+
+    // Boxes aggregate opt levels and counter counts, like the
+    // paper's 960-run boxes.
+    const core::DataTable table =
+        tsc_study("fig04_tsc", core::FactorSpace().counterCounts({1, 2}),
+                  9);
     for (auto mode :
          {CountingMode::UserKernel, CountingMode::User}) {
         std::cout << "--- "
@@ -34,29 +62,11 @@ main()
         std::vector<stats::BoxPlot> boxes;
         for (auto pat : harness::allPatterns()) {
             for (bool tsc : {false, true}) {
-                HarnessConfig cfg;
-                cfg.processor = cpu::Processor::Core2Duo;
-                cfg.iface = Interface::Pc;
-                cfg.pattern = pat;
-                cfg.mode = mode;
-                cfg.tsc = tsc;
-                // Boxes aggregate opt levels and counter counts,
-                // like the paper's 960-run boxes.
-                std::vector<double> errs;
-                for (int opt = 0; opt < 4; ++opt) {
-                    for (int nc = 1; nc <= 2; ++nc) {
-                        cfg.optLevel = opt;
-                        cfg.extraEvents.assign(
-                            static_cast<std::size_t>(nc - 1),
-                            cpu::EventType::BrInstRetired);
-                        auto e = bench::nullErrors(cfg, runs);
-                        errs.insert(errs.end(), e.begin(), e.end());
-                    }
-                }
                 labels.push_back(
                     std::string(harness::patternName(pat)) +
                     (tsc ? " TSC-on " : " TSC-off"));
-                boxes.push_back(stats::makeBoxPlot(errs));
+                boxes.push_back(
+                    stats::makeBoxPlot(errors(table, mode, pat, tsc)));
             }
         }
         stats::renderBoxPlots(std::cout, labels, boxes);
@@ -73,17 +83,22 @@ main()
     std::cout << "Paper's headline numbers (user+kernel, "
                  "read-read):\n";
     {
-        HarnessConfig cfg;
-        cfg.processor = cpu::Processor::Core2Duo;
-        cfg.iface = Interface::Pc;
-        cfg.pattern = AccessPattern::ReadRead;
-        cfg.mode = CountingMode::UserKernel;
-        cfg.tsc = false;
-        const double off = stats::median(bench::nullErrors(cfg, 15));
-        cfg.tsc = true;
-        const double on = stats::median(bench::nullErrors(cfg, 15));
-        bench::paperRef("read-read median, TSC off", 1698, off);
-        bench::paperRef("read-read median, TSC on", 109.5, on);
+        const core::DataTable headline = tsc_study(
+            "fig04_headline",
+            core::FactorSpace()
+                .patterns({AccessPattern::ReadRead})
+                .modes({CountingMode::UserKernel})
+                .optLevels({2}),
+            15);
+        const auto median_at = [&](bool tsc) {
+            return stats::median(errors(headline,
+                                        CountingMode::UserKernel,
+                                        AccessPattern::ReadRead, tsc));
+        };
+        bench::paperRef("read-read median, TSC off", 1698,
+                        median_at(false));
+        bench::paperRef("read-read median, TSC on", 109.5,
+                        median_at(true));
     }
     std::cout << "\nShape check: read-containing patterns improve "
                  "drastically with TSC on;\nstart-stop is "

@@ -12,6 +12,7 @@
 
 #include "bench_util.hh"
 #include "core/factor_space.hh"
+#include "core/study.hh"
 #include "support/table.hh"
 
 int
@@ -20,14 +21,35 @@ main()
     using namespace pca;
     using harness::AccessPattern;
     using harness::CountingMode;
-    using harness::HarnessConfig;
     using harness::Interface;
 
     bench::banner("Figure 5",
                   "Error depends on the number of counters (K8)");
 
-    constexpr int runs = 9;
-    const auto &menu = core::defaultExtraEvents();
+    core::StudySpec spec = core::nullSweep(
+        "fig05_counters",
+        core::FactorSpace()
+            .processors({cpu::Processor::AthlonX2})
+            .interfaces({Interface::Pm, Interface::Pc})
+            .optLevels({2})
+            .counterCounts({1, 2, 3, 4})
+            .generate(),
+        9);
+    spec.identity = "seed=12345|runs=9";
+    spec.obs = core::StudyObsOptions::fromEnv();
+    spec.seed = [](std::size_t, int r) {
+        return mixSeed(12345, static_cast<std::uint64_t>(r));
+    };
+    const core::DataTable table = core::runStudy(spec);
+    const auto median_for = [&](Interface iface, CountingMode mode,
+                                AccessPattern pat, int nc) {
+        return stats::median(
+            table.filtered("interface", harness::interfaceCode(iface))
+                .filtered("mode", harness::countingModeName(mode))
+                .filtered("pattern", harness::patternName(pat))
+                .filtered("nctrs", std::to_string(nc))
+                .okValues());
+    };
 
     for (auto iface : {Interface::Pm, Interface::Pc}) {
         for (auto mode :
@@ -40,19 +62,9 @@ main()
             for (auto pat : harness::allPatterns()) {
                 std::vector<std::string> row{
                     harness::patternName(pat)};
-                for (int nc = 1; nc <= 4; ++nc) {
-                    HarnessConfig cfg;
-                    cfg.processor = cpu::Processor::AthlonX2;
-                    cfg.iface = iface;
-                    cfg.pattern = pat;
-                    cfg.mode = mode;
-                    for (int i = 0; i + 1 < nc; ++i)
-                        cfg.extraEvents.push_back(
-                            menu[static_cast<std::size_t>(i)]);
+                for (int nc = 1; nc <= 4; ++nc)
                     row.push_back(fmtDouble(
-                        stats::median(bench::nullErrors(cfg, runs)),
-                        1));
-                }
+                        median_for(iface, mode, pat, nc), 1));
                 t.addRow(row);
             }
             t.print(std::cout);
@@ -60,31 +72,18 @@ main()
         }
     }
 
+    // The same points, runs and seeds as the sweep above.
     std::cout << "Paper's headline numbers:\n";
-    auto median_for = [&](Interface iface, CountingMode mode,
-                          int nc) {
-        HarnessConfig cfg;
-        cfg.processor = cpu::Processor::AthlonX2;
-        cfg.iface = iface;
-        cfg.pattern = AccessPattern::ReadRead;
-        cfg.mode = mode;
-        for (int i = 0; i + 1 < nc; ++i)
-            cfg.extraEvents.push_back(
-                menu[static_cast<std::size_t>(i)]);
-        return stats::median(bench::nullErrors(cfg, runs));
-    };
+    const auto rr = AccessPattern::ReadRead;
+    const auto uk = CountingMode::UserKernel;
     bench::paperRef("pm read-read u+k, 1 register", 573,
-                    median_for(Interface::Pm,
-                               CountingMode::UserKernel, 1));
+                    median_for(Interface::Pm, uk, rr, 1));
     bench::paperRef("pm read-read u+k, 4 registers", 909,
-                    median_for(Interface::Pm,
-                               CountingMode::UserKernel, 4));
+                    median_for(Interface::Pm, uk, rr, 4));
     bench::paperRef("pc read-read, 1 register", 84,
-                    median_for(Interface::Pc,
-                               CountingMode::UserKernel, 1));
+                    median_for(Interface::Pc, uk, rr, 1));
     bench::paperRef("pc read-read, 4 registers", 125,
-                    median_for(Interface::Pc,
-                               CountingMode::UserKernel, 4));
+                    median_for(Interface::Pc, uk, rr, 4));
     std::cout << "\nShape check: pm user+kernel grows ~100/counter "
                  "on read paths; pm user-mode\nis flat; pc read-read "
                  "is identical in user and user+kernel mode (the\n"

@@ -10,6 +10,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "core/factor_space.hh"
+#include "core/study.hh"
 #include "stats/boxplot.hh"
 #include "support/table.hh"
 
@@ -25,7 +27,18 @@ main()
     bench::banner("Figure 6 / Table 3",
                   "Error depends on the infrastructure");
 
-    constexpr int runs = 5;
+    // The default factor space is exactly the figure's: every
+    // processor, interface, supported pattern, mode and opt level at
+    // one counter with the TSC on.
+    core::StudySpec spec =
+        core::nullSweep("fig06_infrastructure",
+                        core::FactorSpace().generate(), 5);
+    spec.identity = "seed=12345|runs=5";
+    spec.obs = core::StudyObsOptions::fromEnv();
+    spec.seed = [](std::size_t, int r) {
+        return mixSeed(12345, static_cast<std::uint64_t>(r));
+    };
+    const core::DataTable table = core::runStudy(spec);
 
     struct Row
     {
@@ -49,19 +62,12 @@ main()
                 if (!harness::patternSupported(iface, pat))
                     continue;
                 // Aggregate processors and optimization levels.
-                std::vector<double> errs;
-                for (auto proc : cpu::allProcessors()) {
-                    for (int opt = 0; opt < 4; ++opt) {
-                        HarnessConfig cfg;
-                        cfg.processor = proc;
-                        cfg.iface = iface;
-                        cfg.pattern = pat;
-                        cfg.mode = mode;
-                        cfg.optLevel = opt;
-                        auto e = bench::nullErrors(cfg, runs);
-                        errs.insert(errs.end(), e.begin(), e.end());
-                    }
-                }
+                const std::vector<double> errs =
+                    table.filtered("mode", harness::countingModeName(mode))
+                        .filtered("interface",
+                                  harness::interfaceCode(iface))
+                        .filtered("pattern", harness::patternName(pat))
+                        .okValues();
                 const double med = stats::median(errs);
                 if (med < best.median) {
                     best.median = med;

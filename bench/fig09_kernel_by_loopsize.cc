@@ -11,8 +11,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "harness/harness.hh"
-#include "harness/microbench.hh"
+#include "core/study.hh"
 #include "stats/boxplot.hh"
 #include "stats/regression.hh"
 #include "support/table.hh"
@@ -21,11 +20,6 @@ int
 main()
 {
     using namespace pca;
-    using harness::CountingMode;
-    using harness::HarnessConfig;
-    using harness::Interface;
-    using harness::LoopBench;
-    using harness::MeasurementHarness;
 
     bench::banner("Figure 9",
                   "Kernel-mode instructions by loop size (pc on CD)");
@@ -33,30 +27,40 @@ main()
     const std::vector<Count> sizes = {1,      25000,  50000,  75000,
                                       100000, 250000, 500000, 750000,
                                       1000000};
+    core::StudySpec spec;
+    spec.name = "fig09_kernel";
+    spec.columns = {"loopsize"};
+    spec.valueName = "kernel_instr";
     // Interrupts are infrequent: many runs per size (paper: several
     // thousand; here enough for stable means).
-    constexpr int runs = 60;
+    spec.runs = 60;
+    spec.seed = [&sizes](std::size_t i, int r) {
+        return mixSeed(909, sizes[i] * 100 + static_cast<Count>(r));
+    };
+    spec.delta = true;
+    spec.identity = "seed=909|runs=60";
+    spec.obs = core::StudyObsOptions::fromEnv();
+    for (Count size : sizes) {
+        harness::HarnessConfig cfg;
+        cfg.processor = cpu::Processor::Core2Duo;
+        cfg.iface = harness::Interface::Pc;
+        cfg.pattern = harness::AccessPattern::StartRead;
+        cfg.mode = harness::CountingMode::Kernel;
+        spec.points.push_back(
+            {{std::to_string(size)}, "", cfg,
+             std::make_shared<const harness::LoopBench>(size)});
+    }
+    const core::DataTable table = core::runStudy(spec);
 
     TextTable t({"loop size", "mean", "median", "q3", "max"});
     std::vector<double> xs, ys;
     std::vector<std::string> labels;
     std::vector<stats::BoxPlot> boxes;
     for (Count size : sizes) {
-        std::vector<double> deltas;
-        const LoopBench bench(size);
-        for (int r = 0; r < runs; ++r) {
-            HarnessConfig cfg;
-            cfg.processor = cpu::Processor::Core2Duo;
-            cfg.iface = Interface::Pc;
-            cfg.pattern = harness::AccessPattern::StartRead;
-            cfg.mode = CountingMode::Kernel;
-            cfg.seed = mixSeed(909, size * 100 +
-                                        static_cast<Count>(r));
-            const auto m = MeasurementHarness(cfg).measure(bench);
-            deltas.push_back(static_cast<double>(m.delta()));
-            xs.push_back(static_cast<double>(size));
-            ys.push_back(static_cast<double>(m.delta()));
-        }
+        const std::vector<double> deltas =
+            table.filtered("loopsize", std::to_string(size)).okValues();
+        xs.insert(xs.end(), deltas.size(), static_cast<double>(size));
+        ys.insert(ys.end(), deltas.begin(), deltas.end());
         const auto s = stats::summarize(deltas);
         t.addRow({fmtCount(static_cast<long long>(size)),
                   fmtDouble(s.mean, 1), fmtDouble(s.median, 1),
@@ -73,25 +77,13 @@ main()
     bench::paperRef("slope (kernel instr / iteration)", 0.00204,
                     fit.slope, 5);
 
-    double mean_500k = 0, mean_1m = 0;
-    {
-        int n5 = 0, n1 = 0;
-        for (std::size_t i = 0; i < xs.size(); ++i) {
-            if (xs[i] == 500000) {
-                mean_500k += ys[i];
-                ++n5;
-            }
-            if (xs[i] == 1000000) {
-                mean_1m += ys[i];
-                ++n1;
-            }
-        }
-        mean_500k /= n5;
-        mean_1m /= n1;
-    }
+    const auto mean_at = [&](const char *size) {
+        return stats::mean(table.filtered("loopsize", size).okValues());
+    };
     bench::paperRef("mean kernel instr at 500k iters", 1500,
-                    mean_500k);
-    bench::paperRef("mean kernel instr at 1M iters", 2500, mean_1m);
+                    mean_at("500000"));
+    bench::paperRef("mean kernel instr at 1M iters", 2500,
+                    mean_at("1000000"));
     std::cout << "\nShape check: the regression slope matches the "
                  "user+kernel duration slope\nof Figure 7 for pc on "
                  "CD (the paper's crosscheck).\n";

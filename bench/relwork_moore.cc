@@ -12,8 +12,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "harness/harness.hh"
-#include "harness/microbench.hh"
+#include "core/factor_space.hh"
+#include "core/study.hh"
 #include "support/table.hh"
 
 int
@@ -21,33 +21,39 @@ main()
 {
     using namespace pca;
     using harness::AccessPattern;
-    using harness::CountingMode;
-    using harness::HarnessConfig;
     using harness::Interface;
-    using harness::MeasurementHarness;
-    using harness::NullBench;
 
     bench::banner("Related work (Moore)",
                   "Cycle cost of counter accesses");
 
     // Cycle c-delta of the null benchmark = cycles burnt by the
-    // access calls inside the measured window.
-    auto cycle_cost = [](cpu::Processor proc, Interface iface,
-                         AccessPattern pat) {
-        std::vector<double> cycles;
-        for (int r = 0; r < 7; ++r) {
-            HarnessConfig cfg;
-            cfg.processor = proc;
-            cfg.iface = iface;
-            cfg.pattern = pat;
-            cfg.mode = CountingMode::UserKernel;
-            cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
-            cfg.seed = 606 + static_cast<std::uint64_t>(r);
-            cycles.push_back(static_cast<double>(
-                MeasurementHarness(cfg).measure(NullBench{})
-                    .delta()));
-        }
-        return stats::summarize(cycles);
+    // access calls inside the measured window: start/stop everywhere,
+    // read pairs where the interface supports them.
+    core::StudySpec spec = core::nullSweep(
+        "moore_cycle_cost",
+        core::FactorSpace()
+            .patterns({AccessPattern::StartStop, AccessPattern::ReadRead})
+            .modes({harness::CountingMode::UserKernel})
+            .optLevels({2})
+            .generate(),
+        7);
+    for (core::StudyPoint &p : spec.points)
+        p.cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
+    spec.valueName = "cycles";
+    spec.delta = true;
+    spec.identity = "seed=606|runs=7";
+    spec.obs = core::StudyObsOptions::fromEnv();
+    spec.seed = [](std::size_t, int r) {
+        return 606 + static_cast<std::uint64_t>(r);
+    };
+    const core::DataTable table = core::runStudy(spec);
+    const auto cycle_cost = [&](cpu::Processor proc, Interface iface,
+                                AccessPattern pat) {
+        return stats::summarize(
+            table.filtered("processor", cpu::processorCode(proc))
+                .filtered("interface", harness::interfaceCode(iface))
+                .filtered("pattern", harness::patternName(pat))
+                .okValues());
     };
 
     for (auto proc : cpu::allProcessors()) {

@@ -13,7 +13,9 @@
 
 #include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "obs/env.hh"
+#include "support/random.hh"
 
 int
 main()
@@ -71,10 +73,12 @@ main()
 
     // 5. Repeat measurements with fresh seeds to see run-to-run
     //    variation (interrupt phase, preemption).
+    //    One session assembles the program once and reboots the
+    //    machine per run.
     std::cout << "\nfive repeated user+kernel measurements:";
-    for (const auto &rep :
-         MeasurementHarness(cfg).measureMany(loop, 5))
-        std::cout << ' ' << rep.error();
+    HarnessSession session(cfg, loop);
+    for (std::uint64_t r = 0; r < 5; ++r)
+        std::cout << ' ' << session.run(pca::mixSeed(cfg.seed, r)).error();
     std::cout << '\n';
     return 0;
 }

@@ -177,6 +177,20 @@ sealLine(std::string &body)
 
 } // namespace
 
+std::string
+fnv1aHex(const std::string &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
 std::unique_ptr<StudyCheckpoint>
 StudyCheckpoint::open(const std::string &path, const std::string &study,
                       const std::string &identity, std::size_t points)
@@ -210,6 +224,8 @@ StudyCheckpoint::StudyCheckpoint(std::string path, std::string study,
     : filePath(std::move(path)), studyName(std::move(study)),
       identity(std::move(identity)), numPoints(points), loaded(points)
 {
+    sectionTag = fnv1aHex(studyName + '\n' + this->identity + '\n' +
+                          std::to_string(numPoints));
 }
 
 StudyCheckpoint::~StudyCheckpoint()
@@ -227,14 +243,15 @@ StudyCheckpoint::loadExisting()
 
     // Scan line by line, tracking the byte offset just past the last
     // valid line so a torn or corrupt tail can be truncated away.
+    // Other sections' records only need a valid CRC to be kept.
     std::string line;
     std::size_t validEnd = 0;
     bool sawHeader = false;
-    bool mismatch = false;
+    bool haveSection = false;
     int c;
     std::size_t offset = 0;
     std::size_t resumed = 0;
-    while (!mismatch && (c = std::fgetc(in)) != EOF) {
+    while ((c = std::fgetc(in)) != EOF) {
         ++offset;
         if (c != '\n') {
             line += static_cast<char>(c);
@@ -244,26 +261,21 @@ StudyCheckpoint::loadExisting()
         if (!body)
             break; // torn/corrupt: drop this line and everything after
         Cursor cur{body->first, body->first + body->second};
-        if (!sawHeader) {
+        if (cur.lit("{\"v\":2,\"study\":")) {
             std::string study, id;
             std::uint64_t pts = 0;
-            if (!cur.lit("{\"v\":1,\"study\":") ||
-                !cur.quoted(study) || !cur.lit(",\"id\":") ||
+            if (!cur.quoted(study) || !cur.lit(",\"id\":") ||
                 !cur.quoted(id) || !cur.lit(",\"points\":") ||
                 !cur.number(pts) || cur.p != cur.end)
                 break;
-            if (study != studyName || id != identity ||
-                pts != numPoints) {
-                pca_warn("checkpoint ", filePath,
-                         ": identity mismatch (found study=", study,
-                         " id=", id, "); restarting checkpoint");
-                mismatch = true;
-                break;
-            }
             sawHeader = true;
-        } else {
+            haveSection |= study == studyName && id == identity &&
+                           pts == numPoints;
+        } else if (!sawHeader || !cur.lit("{\"sec\":\"")) {
+            break;
+        } else if (cur.lit(sectionTag.c_str()) && cur.lit("\",")) {
             std::uint64_t point = 0;
-            if (!cur.lit("{\"point\":") || !cur.number(point) ||
+            if (!cur.lit("\"point\":") || !cur.number(point) ||
                 !cur.lit(",\"runs\":[") || point >= numPoints)
                 break;
             PointRecord rec;
@@ -307,10 +319,9 @@ StudyCheckpoint::loadExisting()
     }
     std::fclose(in);
 
-    if (mismatch || !sawHeader) {
-        if (!mismatch)
-            pca_warn("checkpoint ", filePath,
-                     ": unreadable header; restarting checkpoint");
+    if (!sawHeader) {
+        pca_warn("checkpoint ", filePath,
+                 ": unreadable header; restarting checkpoint");
         // Forget anything scanned before deciding to restart.
         loaded.assign(numPoints, std::nullopt);
         doneCount = 0;
@@ -336,6 +347,8 @@ StudyCheckpoint::loadExisting()
 
     PCA_SPC_ADD(CheckpointPointsResumed, resumed);
     file = std::fopen(filePath.c_str(), "a");
+    if (file != nullptr && !haveSection)
+        writeHeader();
     return true;
 }
 
@@ -343,9 +356,14 @@ void
 StudyCheckpoint::startFresh()
 {
     file = std::fopen(filePath.c_str(), "w");
-    if (file == nullptr)
-        return;
-    std::string body = "{\"v\":1,\"study\":\"";
+    if (file != nullptr)
+        writeHeader();
+}
+
+void
+StudyCheckpoint::writeHeader()
+{
+    std::string body = "{\"v\":2,\"study\":\"";
     jsonEscape(body, studyName);
     body += "\",\"id\":\"";
     jsonEscape(body, identity);
@@ -383,7 +401,8 @@ void
 StudyCheckpoint::record(std::size_t point, const PointRecord &rec)
 {
     pca_assert(point < numPoints);
-    std::string body = "{\"point\":" + std::to_string(point) +
+    std::string body = "{\"sec\":\"" + sectionTag +
+                       "\",\"point\":" + std::to_string(point) +
                        ",\"runs\":[";
     for (std::size_t i = 0; i < rec.size(); ++i) {
         if (i > 0)

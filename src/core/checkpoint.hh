@@ -15,11 +15,13 @@
  * round-trips, the attribution key cells, the degraded note), and
  * emission is point-ordered either way.
  *
- * One file holds one study invocation: a header line pins the study
- * name, an identity string (seed, runs, point count, fault plan
- * fingerprint, ...), and the point count; opening with a different
- * identity restarts the file rather than resuming someone else's
- * sweep.
+ * One file holds one section per (study, identity): a header line
+ * pins the study name, an identity string (seed, runs, point count,
+ * fault plan fingerprint, ...), and the point count, and every record
+ * carries its section's tag. A process that runs several studies
+ * against one PCA_CHECKPOINT file therefore resumes each of them;
+ * opening with an identity the file does not hold appends a fresh
+ * section rather than resuming someone else's sweep.
  */
 
 #ifndef PCA_CORE_CHECKPOINT_HH
@@ -53,8 +55,12 @@ struct CheckpointRun
 /** A completed factor point: its runs, in run order. */
 using PointRecord = std::vector<CheckpointRun>;
 
+/** 64-bit FNV-1a of @p s as 16 hex digits: identity digests, tags. */
+std::string fnv1aHex(const std::string &s);
+
 /**
- * Append-only checkpoint for one study invocation. Thread-safe:
+ * Append-only checkpoint for one study's section of a file.
+ * Thread-safe:
  * record() is called from worker threads as points complete (append
  * order varies with scheduling; resume correctness only needs the
  * set, not the order). Every record is one write + flush + fsync,
@@ -66,11 +72,12 @@ class StudyCheckpoint
   public:
     /**
      * Open (resuming) or create @p path for @p points points of
-     * study @p study under @p identity. An existing file with a
-     * matching header resumes: valid records load, the torn tail
-     * (if any) is truncated away. A mismatched header (different
-     * study/identity/point count) or unreadable file warns and
-     * restarts the checkpoint from scratch.
+     * study @p study under @p identity. If the file holds a section
+     * with that exact study, identity and point count, its valid
+     * records load; otherwise a new section header is appended.
+     * Either way the torn tail (if any) is truncated away first. A
+     * file whose first line is not a section header warns and
+     * restarts from scratch.
      */
     static std::unique_ptr<StudyCheckpoint>
     open(const std::string &path, const std::string &study,
@@ -112,10 +119,12 @@ class StudyCheckpoint
 
     bool loadExisting();
     void startFresh();
+    void writeHeader();
 
     std::string filePath;
     std::string studyName;
     std::string identity;
+    std::string sectionTag; //!< hash of (study, identity, points)
     std::size_t numPoints;
     std::FILE *file = nullptr;
     std::vector<std::optional<PointRecord>> loaded;

@@ -80,6 +80,16 @@ DataTable::values() const
     return out;
 }
 
+std::vector<double>
+DataTable::okValues() const
+{
+    std::vector<double> out;
+    for (const auto &row : rowStore)
+        if (!row.degraded())
+            out.push_back(row.value);
+    return out;
+}
+
 std::vector<DataGroup>
 DataTable::groupBy(const std::vector<std::string> &columns) const
 {

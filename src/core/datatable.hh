@@ -85,6 +85,9 @@ class DataTable
     /** All response values. */
     std::vector<double> values() const;
 
+    /** Response values of the healthy (non-degraded) rows. */
+    std::vector<double> okValues() const;
+
     /**
      * Group rows by the given columns; groups are ordered by first
      * appearance.

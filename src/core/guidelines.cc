@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/factor_space.hh"
+#include "core/study.hh"
 #include "harness/microbench.hh"
 #include "stats/descriptive.hh"
 #include "support/logging.hh"
@@ -73,28 +74,33 @@ Guidelines::recommend(const GuidelineQuery &query) const
         .counterCounts({std::max(1, query.countersNeeded)})
         .tscSettings({true, false});
 
-    const harness::NullBench bench;
+    StudySpec spec = nullSweep("guidelines", space.generate(), runs);
+    spec.identity = detail::cat("seed=", seed, "|runs=", runs);
+    spec.seed = [this](std::size_t i, int r) {
+        return mixSeed(seed, (i + 1) * 100 +
+                                 static_cast<std::uint64_t>(r));
+    };
+    const DataTable table = runStudy(spec);
+
     Recommendation rec;
-    std::uint64_t point_id = 0;
-    for (const FactorPoint &p : space.generate()) {
-        ++point_id;
-        std::vector<double> errors;
-        for (int r = 0; r < runs; ++r) {
-            auto cfg = p.toHarnessConfig(
-                mixSeed(seed, point_id * 100 +
-                                  static_cast<std::uint64_t>(r)));
-            errors.push_back(static_cast<double>(
-                harness::MeasurementHarness(cfg).measure(bench)
-                    .error()));
-        }
+    for (const StudyPoint &p : spec.points) {
+        const std::vector<double> errors =
+            table.filtered("interface", harness::interfaceCode(p.cfg.iface))
+                .filtered("pattern", harness::patternName(p.cfg.pattern))
+                .filtered("tsc", p.cfg.tsc ? "on" : "off")
+                .okValues();
+        if (errors.empty())
+            continue; // every run degraded
         RankedChoice c;
-        c.iface = p.iface;
-        c.pattern = p.pattern;
-        c.tsc = p.tsc;
+        c.iface = p.cfg.iface;
+        c.pattern = p.cfg.pattern;
+        c.tsc = p.cfg.tsc;
         c.medianError = stats::median(errors);
         c.minError = stats::minOf(errors);
         rec.ranking.push_back(c);
     }
+    if (rec.ranking.empty())
+        pca_fatal("guidelines: every calibration run failed");
 
     std::stable_sort(rec.ranking.begin(), rec.ranking.end(),
                      [](const RankedChoice &a, const RankedChoice &b) {

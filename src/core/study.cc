@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <optional>
 
 #include "core/checkpoint.hh"
 #include "harness/microbench.hh"
@@ -77,9 +75,9 @@ namespace
 class StudyObserver
 {
   public:
-    StudyObserver(const StudyObsOptions &opt, const char *study,
+    StudyObserver(const StudyObsOptions &opt, std::string study,
                   std::size_t total_points)
-        : opt(opt), study(study), totalPoints(total_points),
+        : opt(opt), study(std::move(study)), totalPoints(total_points),
           start(std::chrono::steady_clock::now())
     {
     }
@@ -146,7 +144,7 @@ class StudyObserver
     }
 
     StudyObsOptions opt;
-    const char *study;
+    std::string study;
     std::size_t totalPoints;
     std::size_t donePoints = 0;
     std::size_t totalRuns = 0;
@@ -255,13 +253,26 @@ histOf(const PointRecord &rec)
  * whole factor points across workers, so a private cache per worker
  * gives lock-free reuse. Results cannot depend on the partition:
  * a cache hit and a fresh build are result-identical.
+ *
+ * A point's runs are consecutive on one worker, so one live session
+ * per worker keeps every reuse; holding more only keeps cold
+ * machines alive, which halved single-thread throughput on the
+ * exhibits' null sweeps.
  */
 std::vector<ProgramCache>
 makeWorkerCaches()
 {
-    return std::vector<ProgramCache>(
-        static_cast<std::size_t>(
-            std::max(1, defaultThreadCount())));
+    std::vector<ProgramCache> caches;
+    for (int w = 0; w < std::max(1, defaultThreadCount()); ++w)
+        caches.emplace_back(1);
+    return caches;
+}
+
+/** The point's label, defaulting to its keys joined by '/'. */
+std::string
+labelOf(const StudyPoint &p)
+{
+    return p.label.empty() ? join(p.keys, "/") : p.label;
 }
 
 /**
@@ -269,53 +280,45 @@ makeWorkerCaches()
  * the checkpoint identity without recording each label.
  */
 std::string
-labelsDigest(std::size_t n,
-             const std::function<std::string(std::size_t)> &label_of)
+labelsDigest(const std::vector<StudyPoint> &points)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < n; ++i)
-        for (char c : label_of(i)) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    std::string labels;
+    for (const StudyPoint &p : points)
+        labels += labelOf(p);
+    return fnv1aHex(labels);
 }
 
 /**
- * The shared resilient point loop behind all three studies.
+ * The resilient point loop behind runStudy.
  *
- * Fans the factor points over the worker pool; measure(i, cache,
- * budget) produces point i's runs (their seeds must be a pure
- * function of the study seed and i, never of scheduling). With
- * PCA_CHECKPOINT set, points completed by a prior invocation load
- * from the checkpoint and are not re-measured, each finished point
- * is durably appended as it completes, and SIGINT turns into
- * cooperative cancellation: workers drain, the checkpoint stays
- * consistent, and the Cancelled error propagates to the caller.
- * Every point's retry allowance is the policy's deterministic
- * per-point share, so a study-wide budget can never make results
- * depend on worker timing. The returned records are in point order
- * and identical whether any prefix was resumed, at any thread count.
+ * Fans the points over the worker pool. With PCA_CHECKPOINT set,
+ * points completed by a prior invocation load from the checkpoint
+ * and are not re-measured, each finished point is durably appended
+ * as it completes, and SIGINT turns into cooperative cancellation:
+ * workers drain, the checkpoint stays consistent, and the Cancelled
+ * error propagates to the caller. Every point's retry allowance is
+ * the policy's deterministic per-point share, so a study-wide budget
+ * can never make results depend on worker timing. The returned
+ * records are in point order and identical whether any prefix was
+ * resumed, at any thread count.
  */
 std::vector<PointRecord>
-runPoints(
-    const char *study, const std::string &identity, std::size_t n,
-    const kernel::FaultPlan &fault_plan, StudyObserver &observer,
-    const std::function<std::string(std::size_t)> &label_of,
-    const std::function<std::vector<StatusOr<Measurement>>(
-        std::size_t, ProgramCache &, std::optional<long>)> &measure,
-    bool use_delta, bool with_attr)
+runPoints(const StudySpec &spec, const std::string &identity,
+          const kernel::FaultPlan &fault_plan, StudyObserver &observer)
 {
+    const std::string &study = spec.name;
+    const std::size_t n = spec.points.size();
+    const bool with_attr = spec.obs.attributionColumns;
     std::vector<PointRecord> slots(n);
     auto ckpt = StudyCheckpoint::openFromEnv(study, identity, n);
     std::vector<std::size_t> todo;
     todo.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
+        // A record of another shape (run count, attribution cells)
+        // belongs to a differently configured sweep: re-measure.
         const PointRecord *done = ckpt ? ckpt->get(i) : nullptr;
-        if (done)
+        if (done && done->size() == static_cast<std::size_t>(spec.runs) &&
+            done->front().attr.size() == (with_attr ? 4u : 0u))
             slots[i] = *done;
         else
             todo.push_back(i);
@@ -332,13 +335,19 @@ runPoints(
     try {
         parallelFor(todo.size(), [&](std::size_t t, int worker) {
             const std::size_t i = todo[t];
+            const StudyPoint &p = spec.points[i];
+            HarnessConfig cfg = p.cfg;
+            cfg.faults = fault_plan;
             slots[i] = toRecord(
-                measure(i, caches[static_cast<std::size_t>(worker)],
-                        fault_plan.retry.effectivePointBudget(n, i)),
-                use_delta, with_attr);
+                harness::measurePoint(
+                    caches[static_cast<std::size_t>(worker)], cfg,
+                    *p.bench, spec.runs,
+                    [&](int r) { return spec.seed(i, r); },
+                    fault_plan.retry.effectivePointBudget(n, i)),
+                spec.delta, with_attr);
             if (ckpt)
                 ckpt->record(i, slots[i]);
-            observer.pointDone(label_of(i), okValues(slots[i]));
+            observer.pointDone(labelOf(p), okValues(slots[i]));
         });
     } catch (const StatusError &e) {
         if (e.status().code() == StatusCode::Cancelled && ckpt)
@@ -351,91 +360,60 @@ runPoints(
     return slots;
 }
 
+/**
+ * Legacy serial numbering of the loop studies: one tick per run, in
+ * point order. Preserved exactly so their tables match the
+ * pre-parallel engine bit for bit.
+ */
+std::function<std::uint64_t(std::size_t, int)>
+loopSeeds(std::uint64_t seed, int runs)
+{
+    return [seed, runs](std::size_t i, int r) {
+        return mixSeed(seed, static_cast<std::uint64_t>(i) *
+                                     static_cast<std::uint64_t>(runs) +
+                                 static_cast<std::uint64_t>(r) + 1);
+    };
+}
+
 } // namespace
 
 DataTable
-runNullErrorStudy(const std::vector<FactorPoint> &points,
-                  int runs_per_point, std::uint64_t seed,
-                  const StudyObsOptions &obs_opt)
+runStudy(const StudySpec &spec)
 {
-    pca_assert(runs_per_point >= 1);
-    std::vector<std::string> cols{"processor", "interface",
-                                  "pattern",   "mode",
-                                  "opt",       "nctrs",
-                                  "tsc",       "run"};
-    if (obs_opt.attributionColumns)
+    pca_assert(spec.runs >= 1);
+    const bool with_attr = spec.obs.attributionColumns;
+    std::vector<std::string> cols = spec.columns;
+    cols.push_back("run");
+    if (with_attr)
         appendAttrColumns(cols);
-    DataTable table(cols, "error");
-    StudyObserver observer(obs_opt, "null_error", points.size());
-    const NullBench bench;
-    const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
+    DataTable table(cols, spec.valueName);
 
-    // Every run's seed is a pure function of (study seed, point
-    // index, run index), so the measured values cannot depend on
-    // which worker claims a point; the point-order emission below
-    // makes the table byte-identical for every PCA_THREADS value.
-    const auto label_of = [&](std::size_t i) {
-        const FactorPoint &p = points[i];
-        return detail::cat(cpu::processorCode(p.processor), "/",
-                           harness::interfaceCode(p.iface), "/",
-                           harness::patternName(p.pattern), "/",
-                           harness::countingModeName(p.mode), "/O",
-                           p.optLevel, "/n", p.numCounters, "/tsc=",
-                           p.tsc ? "on" : "off");
-    };
-    const auto measure = [&](std::size_t i, ProgramCache &cache,
-                             std::optional<long> budget) {
-        const FactorPoint &p = points[i];
-        const std::uint64_t point_id = i + 1;
-        HarnessConfig cfg = p.toHarnessConfig(seed);
-        cfg.faults = fault_plan;
-        return harness::measurePoint(
-            cache, cfg, bench, runs_per_point,
-            [&](int r) {
-                return mixSeed(seed,
-                               point_id * 1000 +
-                                   static_cast<std::uint64_t>(r));
-            },
-            budget);
-    };
+    const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
     const std::string identity = detail::cat(
-        "seed=", seed, "|runs=", runs_per_point,
-        "|attr=", obs_opt.attributionColumns ? 1 : 0,
-        "|pts=", labelsDigest(points.size(), label_of),
+        spec.identity, "|pts=", labelsDigest(spec.points),
         "|faults=", fault_plan.fingerprint());
-    std::vector<PointRecord> slots =
-        runPoints("null_error", identity, points.size(), fault_plan,
-                  observer, label_of, measure, false,
-                  obs_opt.attributionColumns);
+    StudyObserver observer(spec.obs, spec.name, spec.points.size());
+    const std::vector<PointRecord> slots =
+        runPoints(spec, identity, fault_plan, observer);
 
     // Point-order append => thread-count-independent output.
-    if (obs_opt.distributions)
-        for (std::size_t i = 0; i < points.size(); ++i)
-            obs_opt.distributions->addPoint(label_of(i),
-                                            histOf(slots[i]));
+    if (spec.obs.distributions)
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            spec.obs.distributions->addPoint(labelOf(spec.points[i]),
+                                             histOf(slots[i]));
 
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const FactorPoint &p = points[i];
-        for (int r = 0; r < runs_per_point; ++r) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        for (int r = 0; r < spec.runs; ++r) {
             const CheckpointRun &run =
                 slots[i][static_cast<std::size_t>(r)];
-            std::vector<std::string> keys{
-                cpu::processorCode(p.processor),
-                harness::interfaceCode(p.iface),
-                harness::patternName(p.pattern),
-                harness::countingModeName(p.mode),
-                "O" + std::to_string(p.optLevel),
-                std::to_string(p.numCounters),
-                p.tsc ? "on" : "off",
-                std::to_string(r)};
-            if (obs_opt.attributionColumns)
-                keys.insert(keys.end(), run.attr.begin(),
-                            run.attr.end());
+            std::vector<std::string> keys = spec.points[i].keys;
+            keys.push_back(std::to_string(r));
+            keys.insert(keys.end(), run.attr.begin(), run.attr.end());
             if (run.ok) {
-                table.add(keys, run.value);
+                table.add(std::move(keys), run.value);
             } else {
                 PCA_SPC_INC(DegradedPoints);
-                table.add(keys, run.value, run.note);
+                table.add(std::move(keys), run.value, run.note);
             }
         }
     }
@@ -443,102 +421,87 @@ runNullErrorStudy(const std::vector<FactorPoint> &points,
     return table;
 }
 
+StudySpec
+nullSweep(std::string name, const std::vector<FactorPoint> &points,
+          int runs)
+{
+    StudySpec spec;
+    spec.name = std::move(name);
+    spec.columns = {"processor", "interface", "pattern", "mode",
+                    "opt",       "nctrs",     "tsc"};
+    spec.runs = runs;
+    const auto bench = std::make_shared<const NullBench>();
+    spec.points.reserve(points.size());
+    for (const FactorPoint &p : points)
+        spec.points.push_back(
+            {{cpu::processorCode(p.processor),
+              harness::interfaceCode(p.iface),
+              harness::patternName(p.pattern),
+              harness::countingModeName(p.mode),
+              "O" + std::to_string(p.optLevel),
+              std::to_string(p.numCounters), p.tsc ? "on" : "off"},
+             detail::cat(cpu::processorCode(p.processor), "/",
+                         harness::interfaceCode(p.iface), "/",
+                         harness::patternName(p.pattern), "/",
+                         harness::countingModeName(p.mode), "/O",
+                         p.optLevel, "/n", p.numCounters, "/tsc=",
+                         p.tsc ? "on" : "off"),
+             p.toHarnessConfig(0), bench});
+    return spec;
+}
+
+DataTable
+runNullErrorStudy(const std::vector<FactorPoint> &points,
+                  int runs_per_point, std::uint64_t seed,
+                  const StudyObsOptions &obs_opt)
+{
+    StudySpec spec = nullSweep("null_error", points, runs_per_point);
+    spec.identity =
+        detail::cat("seed=", seed, "|runs=", runs_per_point,
+                    "|attr=", obs_opt.attributionColumns ? 1 : 0);
+    spec.seed = [seed](std::size_t i, int r) {
+        return mixSeed(seed, (i + 1) * 1000 +
+                                 static_cast<std::uint64_t>(r));
+    };
+    spec.obs = obs_opt;
+    return runStudy(spec);
+}
+
 DataTable
 runDurationStudy(const DurationStudyOptions &opt)
 {
-    std::vector<std::string> cols{"processor", "interface",
-                                  "loopsize", "run"};
-    if (opt.obs.attributionColumns)
-        appendAttrColumns(cols);
-    DataTable table(cols, "error");
-
-    struct Point
-    {
-        cpu::Processor proc;
-        Interface iface;
-        Count size;
-    };
-    std::vector<Point> pts;
+    StudySpec spec;
+    spec.name = "duration";
+    spec.columns = {"processor", "interface", "loopsize"};
+    spec.identity = detail::cat(
+        "seed=", opt.seed, "|runs=", opt.runsPerSize,
+        "|pat=", harness::patternName(opt.pattern),
+        "|mode=", harness::countingModeName(opt.mode),
+        "|attr=", opt.obs.attributionColumns ? 1 : 0);
+    spec.runs = opt.runsPerSize;
+    spec.seed = loopSeeds(opt.seed, opt.runsPerSize);
+    spec.obs = opt.obs;
     for (cpu::Processor proc : opt.processors)
         for (Interface iface : opt.interfaces) {
             if (!harness::patternSupported(iface, opt.pattern))
                 continue;
-            for (Count size : opt.loopSizes)
-                pts.push_back({proc, iface, size});
-        }
-
-    StudyObserver observer(opt.obs, "duration", pts.size());
-    const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
-    const auto label_of = [&](std::size_t i) {
-        const Point &p = pts[i];
-        return detail::cat(cpu::processorCode(p.proc), "/",
-                           harness::interfaceCode(p.iface),
-                           "/size=", p.size);
-    };
-    const auto measure = [&](std::size_t i, ProgramCache &cache,
-                             std::optional<long> budget) {
-        const Point &p = pts[i];
-        const LoopBench bench(p.size);
-        HarnessConfig cfg;
-        cfg.processor = p.proc;
-        cfg.iface = p.iface;
-        cfg.pattern = opt.pattern;
-        cfg.mode = opt.mode;
-        cfg.faults = fault_plan;
-        // Legacy serial numbering: point_id ticked once per run, in
-        // point order. Preserved exactly so the table matches the
-        // pre-parallel engine bit for bit.
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(i) *
-            static_cast<std::uint64_t>(opt.runsPerSize);
-        return harness::measurePoint(
-            cache, cfg, bench, opt.runsPerSize,
-            [&](int r) {
-                return mixSeed(
-                    opt.seed,
-                    base + static_cast<std::uint64_t>(r) + 1);
-            },
-            budget);
-    };
-    const std::string identity = detail::cat(
-        "seed=", opt.seed, "|runs=", opt.runsPerSize,
-        "|pat=", harness::patternName(opt.pattern),
-        "|mode=", harness::countingModeName(opt.mode),
-        "|attr=", opt.obs.attributionColumns ? 1 : 0,
-        "|pts=", labelsDigest(pts.size(), label_of),
-        "|faults=", fault_plan.fingerprint());
-    std::vector<PointRecord> slots =
-        runPoints("duration", identity, pts.size(), fault_plan,
-                  observer, label_of, measure, false,
-                  opt.obs.attributionColumns);
-
-    if (opt.obs.distributions)
-        for (std::size_t i = 0; i < pts.size(); ++i)
-            opt.obs.distributions->addPoint(label_of(i),
-                                            histOf(slots[i]));
-
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Point &p = pts[i];
-        for (int r = 0; r < opt.runsPerSize; ++r) {
-            const CheckpointRun &run =
-                slots[i][static_cast<std::size_t>(r)];
-            std::vector<std::string> keys{
-                cpu::processorCode(p.proc),
-                harness::interfaceCode(p.iface),
-                std::to_string(p.size), std::to_string(r)};
-            if (opt.obs.attributionColumns)
-                keys.insert(keys.end(), run.attr.begin(),
-                            run.attr.end());
-            if (run.ok) {
-                table.add(keys, run.value);
-            } else {
-                PCA_SPC_INC(DegradedPoints);
-                table.add(keys, run.value, run.note);
+            for (Count size : opt.loopSizes) {
+                HarnessConfig cfg;
+                cfg.processor = proc;
+                cfg.iface = iface;
+                cfg.pattern = opt.pattern;
+                cfg.mode = opt.mode;
+                spec.points.push_back(
+                    {{cpu::processorCode(proc),
+                      harness::interfaceCode(iface),
+                      std::to_string(size)},
+                     detail::cat(cpu::processorCode(proc), "/",
+                                 harness::interfaceCode(iface),
+                                 "/size=", size),
+                     cfg, std::make_shared<const LoopBench>(size)});
             }
         }
-    }
-    observer.finish();
-    return table;
+    return runStudy(spec);
 }
 
 std::vector<SlopeRow>
@@ -570,101 +533,51 @@ errorSlopes(const DataTable &duration_data)
 DataTable
 runCycleStudy(const CycleStudyOptions &opt)
 {
-    DataTable table(
-        {"processor", "interface", "pattern", "opt", "loopsize",
-         "run"},
-        "cycles");
-
-    struct Point
-    {
-        cpu::Processor proc;
-        Interface iface;
-        harness::AccessPattern pat;
-        int optLevel;
-        Count size;
-    };
-    std::vector<Point> pts;
+    StudySpec spec;
+    spec.name = "cycle";
+    spec.columns = {"processor", "interface", "pattern", "opt",
+                    "loopsize"};
+    spec.valueName = "cycles";
+    spec.identity =
+        detail::cat("seed=", opt.seed, "|runs=", opt.runsPerConfig);
+    spec.runs = opt.runsPerConfig;
+    spec.seed = loopSeeds(opt.seed, opt.runsPerConfig);
+    spec.delta = true;
+    // The cycle table has no attribution columns (it measures raw
+    // c∆, not error); the observer's other channels apply as-is.
+    spec.obs = opt.obs;
+    spec.obs.attributionColumns = false;
     for (cpu::Processor proc : opt.processors)
         for (Interface iface : opt.interfaces)
             for (harness::AccessPattern pat : opt.patterns) {
                 if (!harness::patternSupported(iface, pat))
                     continue;
                 for (int opt_level : opt.optLevels)
-                    for (Count size : opt.loopSizes)
-                        pts.push_back(
-                            {proc, iface, pat, opt_level, size});
+                    for (Count size : opt.loopSizes) {
+                        HarnessConfig cfg;
+                        cfg.processor = proc;
+                        cfg.iface = iface;
+                        cfg.pattern = pat;
+                        cfg.optLevel = opt_level;
+                        cfg.mode = harness::CountingMode::UserKernel;
+                        cfg.primaryEvent =
+                            cpu::EventType::CpuClkUnhalted;
+                        spec.points.push_back(
+                            {{cpu::processorCode(proc),
+                              harness::interfaceCode(iface),
+                              harness::patternName(pat),
+                              "O" + std::to_string(opt_level),
+                              std::to_string(size)},
+                             detail::cat(cpu::processorCode(proc), "/",
+                                         harness::interfaceCode(iface),
+                                         "/", harness::patternName(pat),
+                                         "/O", opt_level,
+                                         "/size=", size),
+                             cfg,
+                             std::make_shared<const LoopBench>(size)});
+                    }
             }
-
-    // The cycle table has no attribution columns (it measures raw
-    // c∆, not error); the observer's other channels apply as-is.
-    StudyObserver observer(opt.obs, "cycle", pts.size());
-    const auto label_of = [&](std::size_t i) {
-        const Point &p = pts[i];
-        return detail::cat(cpu::processorCode(p.proc), "/",
-                           harness::interfaceCode(p.iface), "/",
-                           harness::patternName(p.pat), "/O",
-                           p.optLevel, "/size=", p.size);
-    };
-    const kernel::FaultPlan fault_plan = kernel::FaultPlan::fromEnv();
-    const auto measure = [&](std::size_t i, ProgramCache &cache,
-                             std::optional<long> budget) {
-        const Point &p = pts[i];
-        const LoopBench bench(p.size);
-        HarnessConfig cfg;
-        cfg.processor = p.proc;
-        cfg.iface = p.iface;
-        cfg.pattern = p.pat;
-        cfg.optLevel = p.optLevel;
-        cfg.mode = harness::CountingMode::UserKernel;
-        cfg.primaryEvent = cpu::EventType::CpuClkUnhalted;
-        cfg.faults = fault_plan;
-        // Same legacy per-run numbering as the duration study.
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(i) *
-            static_cast<std::uint64_t>(opt.runsPerConfig);
-        return harness::measurePoint(
-            cache, cfg, bench, opt.runsPerConfig,
-            [&](int r) {
-                return mixSeed(
-                    opt.seed,
-                    base + static_cast<std::uint64_t>(r) + 1);
-            },
-            budget);
-    };
-    const std::string identity = detail::cat(
-        "seed=", opt.seed, "|runs=", opt.runsPerConfig,
-        "|pts=", labelsDigest(pts.size(), label_of),
-        "|faults=", fault_plan.fingerprint());
-    std::vector<PointRecord> slots =
-        runPoints("cycle", identity, pts.size(), fault_plan, observer,
-                  label_of, measure, true, false);
-
-    if (opt.obs.distributions)
-        for (std::size_t i = 0; i < pts.size(); ++i)
-            opt.obs.distributions->addPoint(label_of(i),
-                                            histOf(slots[i]));
-
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Point &p = pts[i];
-        for (int r = 0; r < opt.runsPerConfig; ++r) {
-            const CheckpointRun &run =
-                slots[i][static_cast<std::size_t>(r)];
-            std::vector<std::string> keys{
-                cpu::processorCode(p.proc),
-                harness::interfaceCode(p.iface),
-                harness::patternName(p.pat),
-                "O" + std::to_string(p.optLevel),
-                std::to_string(p.size), std::to_string(r)};
-            if (run.ok) {
-                table.add(keys, run.value);
-            } else {
-                PCA_SPC_INC(DegradedPoints);
-                table.add(keys, run.value, run.note);
-            }
-        }
-    }
-    observer.finish();
-    return table;
+    return runStudy(spec);
 }
 
 } // namespace pca::core

@@ -1,15 +1,20 @@
 /**
  * @file
- * Canned studies reproducing the paper's experiments: the
- * null-benchmark error study (§4), the duration study (§5), and the
- * cycle-count study (§6). Each returns a tidy DataTable whose
- * columns match the figure's factors.
+ * The study engine and the canned studies built on it. runStudy()
+ * measures a list of factor points N seeded runs each and returns a
+ * tidy DataTable; every sweep exhibit goes through it. The canned
+ * studies reproduce the paper's experiments: the null-benchmark
+ * error study (§4), the duration study (§5), and the cycle-count
+ * study (§6).
  */
 
 #ifndef PCA_CORE_STUDY_HH
 #define PCA_CORE_STUDY_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/datatable.hh"
@@ -58,6 +63,77 @@ struct StudyObsOptions
      */
     static StudyObsOptions fromEnv();
 };
+
+/** One factor point of a study. */
+struct StudyPoint
+{
+    /** Key cells of the point's rows, in StudySpec::columns order. */
+    std::vector<std::string> keys;
+
+    /**
+     * Name in progress/metrics records, distribution sinks and the
+     * checkpoint's point digest; empty means the keys joined by '/'.
+     */
+    std::string label;
+
+    harness::HarnessConfig cfg;
+    std::shared_ptr<const harness::MicroBenchmark> bench;
+};
+
+/** A sweep for runStudy(): points, runs, seeds, and table shape. */
+struct StudySpec
+{
+    /** Study name in observer records and checkpoint sections. */
+    std::string name;
+
+    /**
+     * Key columns of StudyPoint::keys; "run" and, when enabled, the
+     * attribution columns follow.
+     */
+    std::vector<std::string> columns;
+
+    /** Value column name. */
+    std::string valueName = "error";
+
+    /**
+     * Checkpoint identity: what shapes the records besides the point
+     * labels and the fault plan (the seed rule, runs, ...).
+     */
+    std::string identity;
+
+    std::vector<StudyPoint> points;
+    int runs = 1;
+
+    /**
+     * Machine seed of run r at point i. A pure function of (i, r),
+     * so results cannot depend on which worker claims a point.
+     */
+    std::function<std::uint64_t(std::size_t, int)> seed;
+
+    /** Tabulate the raw c∆ instead of the error c∆ - expected. */
+    bool delta = false;
+
+    StudyObsOptions obs;
+};
+
+/**
+ * Measure every point of @p spec, spec.runs runs each, on the
+ * parallel worker pool with one program cache per worker. The
+ * PCA_FAULTS plan applies to every point; PCA_CHECKPOINT resumes
+ * completed points and records new ones. Rows come in point order,
+ * then run order, so the table is byte-identical at every thread
+ * count and across a resume. A run that fails after retries yields
+ * a row with value NaN and a "degraded:<code>:<cause>" note.
+ */
+DataTable runStudy(const StudySpec &spec);
+
+/**
+ * A null-benchmark sweep over @p points, @p runs runs each, with
+ * runNullErrorStudy's key columns and point labels. The caller adds
+ * the seed rule and identity (and may adjust the configs).
+ */
+StudySpec nullSweep(std::string name,
+                    const std::vector<FactorPoint> &points, int runs);
 
 /**
  * Measure the null benchmark at every factor point, several runs

@@ -5,7 +5,6 @@
 
 #include "harness/session.hh"
 #include "support/logging.hh"
-#include "support/random.hh"
 
 namespace pca::harness
 {
@@ -93,40 +92,6 @@ Measurement
 MeasurementHarness::measure(const MicroBenchmark &bench) const
 {
     return HarnessSession(cfg, bench).run(cfg.seed);
-}
-
-StatusOr<Measurement>
-MeasurementHarness::tryMeasure(const MicroBenchmark &bench) const
-{
-    return HarnessSession(cfg, bench).tryRun(cfg.seed);
-}
-
-std::vector<Measurement>
-MeasurementHarness::measureMany(const MicroBenchmark &bench,
-                                int runs) const
-{
-    pca_assert(runs >= 1);
-    HarnessSession sess(cfg, bench);
-    std::vector<Measurement> out;
-    out.reserve(static_cast<std::size_t>(runs));
-    for (int r = 0; r < runs; ++r)
-        out.push_back(
-            sess.run(mixSeed(cfg.seed, static_cast<std::uint64_t>(r))));
-    return out;
-}
-
-std::vector<StatusOr<Measurement>>
-MeasurementHarness::tryMeasureMany(const MicroBenchmark &bench,
-                                   int runs) const
-{
-    pca_assert(runs >= 1);
-    HarnessSession sess(cfg, bench);
-    std::vector<StatusOr<Measurement>> out;
-    out.reserve(static_cast<std::size_t>(runs));
-    for (int r = 0; r < runs; ++r)
-        out.push_back(sess.tryRun(
-            mixSeed(cfg.seed, static_cast<std::uint64_t>(r))));
-    return out;
 }
 
 } // namespace pca::harness

@@ -151,9 +151,10 @@ struct Measurement
  * program, boots a Machine (fresh caches, new interrupt phase), and
  * executes the full sequence: setup, pattern calls, inline
  * benchmark, teardown. Internally backed by a single-use
- * HarnessSession (harness/session.hh); measureMany() reuses one
- * session across runs, which changes nothing in the results (see the
- * session equivalence contract) but skips redundant re-assembly.
+ * HarnessSession (harness/session.hh); repeated runs of one
+ * configuration belong on a HarnessSession or measurePoint(), which
+ * change nothing in the results (see the session equivalence
+ * contract) but skip redundant re-assembly.
  */
 class MeasurementHarness
 {
@@ -162,21 +163,6 @@ class MeasurementHarness
 
     /** Run the measurement once. */
     Measurement measure(const MicroBenchmark &bench) const;
-
-    /** Run @p runs times with distinct seeds; returns all results. */
-    std::vector<Measurement>
-    measureMany(const MicroBenchmark &bench, int runs) const;
-
-    /**
-     * Like measure(), but a run that fails (injected fault, refused
-     * precondition) after exhausting the session's transient-fault
-     * retries comes back as a Status instead of throwing.
-     */
-    StatusOr<Measurement> tryMeasure(const MicroBenchmark &bench) const;
-
-    /** Like measureMany(); failed runs are error slots, in order. */
-    std::vector<StatusOr<Measurement>>
-    tryMeasureMany(const MicroBenchmark &bench, int runs) const;
 
     const HarnessConfig &config() const { return cfg; }
 

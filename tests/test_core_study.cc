@@ -1,17 +1,22 @@
 /**
  * @file
- * Tests for the study framework: DataTable, FactorSpace, canned
- * studies, and the guidelines engine.
+ * Tests for the study framework: DataTable, FactorSpace, the study
+ * engine, canned studies, and the guidelines engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "core/datatable.hh"
 #include "core/factor_space.hh"
 #include "core/guidelines.hh"
 #include "core/study.hh"
+#include "obs/spc.hh"
 
 namespace pca::core
 {
@@ -250,6 +255,163 @@ TEST(StudyTest, CycleStudyShape)
         EXPECT_GT(v, 150000.0); // at least 1.5 cycles/iter
         EXPECT_LT(v, 400000.0); // at most 4 cycles/iter
     }
+}
+
+std::string
+csvOf(const DataTable &t)
+{
+    std::ostringstream os;
+    t.writeCsv(os);
+    return os.str();
+}
+
+/**
+ * A mixed sweep: null and loop benchmarks on two interfaces, a seed
+ * rule of its own, and raw c∆ values.
+ */
+StudySpec
+mixedSpec()
+{
+    StudySpec spec;
+    spec.name = "mixed";
+    spec.columns = {"bench", "interface"};
+    spec.valueName = "delta";
+    spec.identity = "mixed";
+    spec.runs = 3;
+    spec.seed = [](std::size_t i, int r) {
+        return 77 + 10 * i + static_cast<std::uint64_t>(r);
+    };
+    spec.delta = true;
+    for (Interface iface : {Interface::Pm, Interface::Pc}) {
+        harness::HarnessConfig cfg;
+        cfg.processor = cpu::Processor::AthlonX2;
+        cfg.iface = iface;
+        spec.points.push_back(
+            {{"null", harness::interfaceCode(iface)}, "", cfg,
+             std::make_shared<const harness::NullBench>()});
+        spec.points.push_back(
+            {{"loop", harness::interfaceCode(iface)}, "", cfg,
+             std::make_shared<const harness::LoopBench>(20000)});
+    }
+    return spec;
+}
+
+TEST(StudyEngine, MixedSpecMatchesAFreshHarnessPerRun)
+{
+    unsetenv("PCA_CHECKPOINT");
+    unsetenv("PCA_FAULTS");
+    const StudySpec spec = mixedSpec();
+    DataTable want({"bench", "interface", "run"}, "delta");
+    for (std::size_t i = 0; i < spec.points.size(); ++i) {
+        const StudyPoint &p = spec.points[i];
+        for (int r = 0; r < spec.runs; ++r) {
+            harness::HarnessConfig cfg = p.cfg;
+            cfg.seed = spec.seed(i, r);
+            want.add({p.keys[0], p.keys[1], std::to_string(r)},
+                     static_cast<double>(
+                         harness::MeasurementHarness(cfg)
+                             .measure(*p.bench)
+                             .delta()));
+        }
+    }
+    for (const char *threads : {"1", "4"}) {
+        setenv("PCA_THREADS", threads, 1);
+        EXPECT_EQ(csvOf(runStudy(spec)), csvOf(want))
+            << "PCA_THREADS=" << threads;
+    }
+    unsetenv("PCA_THREADS");
+}
+
+TEST(StudyEngine, ResumesByteIdenticallyFromATruncatedCheckpoint)
+{
+    unsetenv("PCA_FAULTS");
+    const StudySpec spec = mixedSpec();
+    const std::string path =
+        testing::TempDir() + "pca_engine_resume.jsonl";
+    std::remove(path.c_str());
+    setenv("PCA_CHECKPOINT", path.c_str(), 1);
+    const std::string full = csvOf(runStudy(spec));
+
+    // Keep the header and two point records, then tear the third
+    // mid-line: what a SIGKILL mid-append leaves behind.
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        for (std::string l; std::getline(in, l);)
+            lines.push_back(l);
+    }
+    ASSERT_EQ(lines.size(), 1 + spec.points.size());
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << lines[0] << '\n' << lines[1] << '\n' << lines[2] << '\n'
+            << lines[3].substr(0, lines[3].size() / 2);
+    }
+
+    obs::spcReset();
+    obs::spcAttach("runs_executed,checkpoint_points_resumed");
+    EXPECT_EQ(csvOf(runStudy(spec)), full);
+    EXPECT_EQ(obs::spcValue(obs::Spc::CheckpointPointsResumed), 2u);
+    EXPECT_EQ(obs::spcValue(obs::Spc::RunsExecuted),
+              static_cast<Count>(2 * spec.runs));
+    obs::spcReset();
+    unsetenv("PCA_CHECKPOINT");
+    std::remove(path.c_str());
+}
+
+TEST(StudyEngine, CheckpointRecordsOfAnotherShapeAreRemeasured)
+{
+    unsetenv("PCA_FAULTS");
+    unsetenv("PCA_CHECKPOINT");
+    const StudySpec plain = mixedSpec();
+    StudySpec attr = plain;
+    attr.obs.attributionColumns = true;
+    const std::string want = csvOf(runStudy(attr));
+
+    const std::string path =
+        testing::TempDir() + "pca_engine_shape.jsonl";
+    std::remove(path.c_str());
+    setenv("PCA_CHECKPOINT", path.c_str(), 1);
+    runStudy(plain);
+    // Same identity, but the records carry no attribution cells.
+    EXPECT_EQ(csvOf(runStudy(attr)), want);
+    unsetenv("PCA_CHECKPOINT");
+    std::remove(path.c_str());
+}
+
+TEST(StudyEngine, DegradedRowsAreAnnotatedAndSkippedByReducers)
+{
+    unsetenv("PCA_CHECKPOINT");
+    // Every attach fails with a 50 % chance and is never retried.
+    setenv("PCA_FAULTS", "seed=3,attach=0.5,retries=0", 1);
+    StudySpec spec = mixedSpec();
+    spec.runs = 6;
+    const DataTable table = runStudy(spec);
+    unsetenv("PCA_FAULTS");
+
+    ASSERT_EQ(table.size(), spec.points.size() * 6);
+    std::size_t degraded = 0;
+    for (const StudyPoint &p : spec.points) {
+        std::vector<double> ok;
+        for (const DataRow &row : table.rows()) {
+            if (row.keys[0] != p.keys[0] || row.keys[1] != p.keys[1])
+                continue;
+            if (row.degraded()) {
+                ++degraded;
+                EXPECT_EQ(row.note.rfind("degraded:", 0), 0u)
+                    << row.note;
+                EXPECT_TRUE(std::isnan(row.value));
+            } else {
+                ok.push_back(row.value);
+            }
+        }
+        EXPECT_EQ(table.filtered("bench", p.keys[0])
+                      .filtered("interface", p.keys[1])
+                      .okValues(),
+                  ok);
+    }
+    EXPECT_GT(degraded, 0u);
+    EXPECT_LT(degraded, table.size());
+    EXPECT_EQ(table.degradedCount(), degraded);
 }
 
 TEST(GuidelinesTest, UserModeRecommendsPerfmonFamily)

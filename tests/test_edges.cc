@@ -13,6 +13,7 @@
 #include "harness/machine.hh"
 #include "harness/tool.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "perfctr/libperfctr.hh"
 #include "stats/descriptive.hh"
@@ -132,8 +133,10 @@ TEST(HarnessEdge, MeasureManyRejectsZeroRuns)
 {
     harness::HarnessConfig cfg;
     cfg.interruptsEnabled = false;
-    EXPECT_THROW(harness::MeasurementHarness(cfg).measureMany(
-                     harness::NullBench{}, 0),
+    harness::ProgramCache cache;
+    EXPECT_THROW(harness::measurePoint(
+                     cache, cfg, harness::NullBench{}, 0,
+                     [](int r) { return static_cast<std::uint64_t>(r); }),
                  std::logic_error);
 }
 

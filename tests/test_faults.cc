@@ -24,6 +24,7 @@
 #include "harness/session.hh"
 #include "kernel/faults.hh"
 #include "obs/spc.hh"
+#include "support/random.hh"
 #include "support/status.hh"
 
 using namespace pca;
@@ -31,6 +32,21 @@ using namespace pca::harness;
 using kernel::FaultInjector;
 using kernel::FaultKind;
 using kernel::FaultPlan;
+
+namespace
+{
+
+/** @p runs null-benchmark runs of @p cfg, seeded mixSeed(seed, r). */
+std::vector<StatusOr<Measurement>>
+nullRuns(const HarnessConfig &cfg, int runs)
+{
+    ProgramCache cache;
+    return measurePoint(cache, cfg, NullBench{}, runs, [&](int r) {
+        return mixSeed(cfg.seed, static_cast<std::uint64_t>(r));
+    });
+}
+
+} // namespace
 
 // ---------------------------------------------------------------- //
 // FaultPlan: parsing and identity
@@ -252,7 +268,7 @@ TEST(FaultHarness, CertainAttachFaultExhaustsRetries)
 {
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=1,attach=1,retries=2");
-    const auto r = MeasurementHarness(cfg).tryMeasure(NullBench{});
+    const auto r = HarnessSession(cfg, NullBench{}).tryRun(cfg.seed);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::Unavailable);
     EXPECT_NE(r.status().message().find("after 2 retries"),
@@ -265,8 +281,7 @@ TEST(FaultHarness, RetriesRecoverFromTransientFaults)
     // every measurement still lands (deterministically, same seed).
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=6,attach=0.5,retries=8");
-    for (const auto &m :
-         MeasurementHarness(cfg).tryMeasureMany(NullBench{}, 12))
+    for (const auto &m : nullRuns(cfg, 12))
         EXPECT_TRUE(m.ok()) << m.status().toString();
 }
 
@@ -276,7 +291,7 @@ TEST(FaultHarness, SessionRetriesFeedTheSpc)
     obs::spcAttach("session_retries,faults_injected");
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=1,attach=1,retries=3");
-    const auto r = MeasurementHarness(cfg).tryMeasure(NullBench{});
+    const auto r = HarnessSession(cfg, NullBench{}).tryRun(cfg.seed);
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(obs::spcValue(obs::Spc::SessionRetries), 3u);
     EXPECT_GE(obs::spcValue(obs::Spc::FaultsInjected), 4u);
@@ -287,10 +302,8 @@ TEST(FaultHarness, FaultedMeasurementsAreDeterministic)
 {
     HarnessConfig cfg;
     cfg.faults = FaultPlan::parse("seed=5,rate=0.1,width=48");
-    const auto a =
-        MeasurementHarness(cfg).tryMeasureMany(NullBench{}, 6);
-    const auto b =
-        MeasurementHarness(cfg).tryMeasureMany(NullBench{}, 6);
+    const auto a = nullRuns(cfg, 6);
+    const auto b = nullRuns(cfg, 6);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].ok(), b[i].ok());

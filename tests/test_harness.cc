@@ -8,6 +8,8 @@
 
 #include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
+#include "support/random.hh"
 
 namespace pca::harness
 {
@@ -176,8 +178,11 @@ TEST(Determinism, MeasureManyUsesDistinctSeeds)
 {
     HarnessConfig cfg = quietConfig(Interface::Pc);
     cfg.interruptsEnabled = true; // seeds shift interrupt phases
-    const auto ms =
-        MeasurementHarness(cfg).measureMany(LoopBench{2000000}, 4);
+    const LoopBench loop(2000000);
+    HarnessSession session(cfg, loop);
+    std::vector<Measurement> ms;
+    for (std::uint64_t r = 0; r < 4; ++r)
+        ms.push_back(session.run(mixSeed(cfg.seed, r)));
     ASSERT_EQ(ms.size(), 4u);
     // Interrupt phases differ -> at least the cycle counts differ.
     bool any_diff = false;

@@ -17,6 +17,8 @@
 #include "core/study.hh"
 #include "harness/harness.hh"
 #include "harness/microbench.hh"
+#include "harness/session.hh"
+#include "support/random.hh"
 #include "obs/attribution.hh"
 #include "obs/spc.hh"
 #include "obs/trace.hh"
@@ -413,9 +415,10 @@ TEST(Attribution, ExactForSeededUserKernelRuns)
         cfg.pattern = c.pattern;
         cfg.mode = CountingMode::UserKernel;
         cfg.seed = 42;
-        MeasurementHarness h(cfg);
-        for (const Measurement &m :
-             h.measureMany(LoopBench(100000), 5)) {
+        const LoopBench loop(100000);
+        HarnessSession session(cfg, loop);
+        for (std::uint64_t r = 0; r < 5; ++r) {
+            const Measurement m = session.run(mixSeed(cfg.seed, r));
             EXPECT_EQ(m.attribution.total(), m.error())
                 << interfaceCode(c.iface) << "/"
                 << patternName(c.pattern);

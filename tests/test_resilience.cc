@@ -272,7 +272,7 @@ TEST(HangFault, WatchdogReapsACertainHangAfterRetries)
     cfg.iface = Interface::Pm;
     cfg.faults = FaultPlan::parse("seed=1,hang=1,budget=300000,"
                                   "retries=2");
-    const auto r = MeasurementHarness(cfg).tryMeasure(NullBench{});
+    const auto r = HarnessSession(cfg, NullBench{}).tryRun(cfg.seed);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::DeadlineExceeded);
     EXPECT_NE(r.status().message().find("after 2 retries"),
@@ -505,10 +505,59 @@ TEST(Checkpoint, IdentityMismatchRestartsTheFile)
         cp->record(0, {CheckpointRun{true, 1.0, {}, ""}});
     }
     // Same file, different identity (say, a new fault plan): the
-    // old records must not leak into the new sweep.
+    // old section's records must not leak into the new sweep.
     auto cp = StudyCheckpoint::open(path, "s", "id2", 2);
     ASSERT_NE(cp, nullptr);
     EXPECT_EQ(cp->completedCount(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, TwoStudiesShareOneFileAndBothResume)
+{
+    const auto points = smallPointSet();
+    core::DurationStudyOptions dur;
+    dur.processors = {cpu::Processor::AthlonX2};
+    dur.interfaces = {Interface::Pm};
+    dur.loopSizes = {1, 50000};
+    dur.runsPerSize = 2;
+    const std::string path = testing::TempDir() + "pca_ck_two.jsonl";
+    std::remove(path.c_str());
+    unsetenv("PCA_FAULTS");
+    setenv("PCA_CHECKPOINT", path.c_str(), 1);
+    const std::string null_csv =
+        csvOf(core::runNullErrorStudy(points, 2, 42));
+    const std::string dur_csv = csvOf(core::runDurationStudy(dur));
+
+    // A second process against the same file resumes both studies,
+    // measures nothing, and emits the same bytes.
+    EXPECT_EXIT(
+        {
+            obs::spcReset();
+            obs::spcAttach("runs_executed");
+            const bool same =
+                csvOf(core::runNullErrorStudy(points, 2, 42)) ==
+                    null_csv &&
+                csvOf(core::runDurationStudy(dur)) == dur_csv;
+            std::exit(same && obs::spcValue(obs::Spc::RunsExecuted) ==
+                                  0
+                          ? 0
+                          : 1);
+        },
+        testing::ExitedWithCode(0), "");
+
+    // The sections stay apart at the record level too.
+    auto a = StudyCheckpoint::open(path, "s", "id", 2);
+    ASSERT_NE(a, nullptr);
+    a->record(0, {CheckpointRun{true, 1.0, {}, ""}});
+    a.reset();
+    auto b = StudyCheckpoint::open(path, "s", "other", 2);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->completedCount(), 0u);
+    b.reset();
+    auto again = StudyCheckpoint::open(path, "s", "id", 2);
+    ASSERT_NE(again, nullptr);
+    EXPECT_TRUE(again->completed(0));
+    unsetenv("PCA_CHECKPOINT");
     std::remove(path.c_str());
 }
 
