@@ -35,7 +35,7 @@ CacheModel::contains(Addr addr) const
     const std::size_t base = setIndex(addr) * numWays;
     const Addr tag = tagOf(addr);
     for (std::size_t w = base; w < base + numWays; ++w)
-        if (waysStore[w].valid && waysStore[w].tag == tag)
+        if (waysStore[w].epoch == epoch && waysStore[w].tag == tag)
             return true;
     return false;
 }
@@ -43,8 +43,13 @@ CacheModel::contains(Addr addr) const
 void
 CacheModel::flush()
 {
-    for (auto &way : waysStore)
-        way.valid = false;
+    if (++epoch == 0) {
+        // Wraparound: a way stamped one full cycle ago would read as
+        // valid again. Retag every way with the never-current 0.
+        for (Way &way : waysStore)
+            way.epoch = 0;
+        epoch = 1;
+    }
     hotTag = ~Addr{0};
     hotWay = 0;
     useClock = 0;

@@ -22,6 +22,12 @@ class CacheModel
 {
   public:
     /**
+     * Width of the per-way epoch tag: flush() rewrites every way once
+     * per numeric_limits<Epoch>::max() calls.
+     */
+    using Epoch = std::uint16_t;
+
+    /**
      * @param sets number of sets (power of two)
      * @param ways associativity
      * @param line_bytes line (or page) size in bytes, power of two
@@ -47,12 +53,13 @@ class CacheModel
         for (std::size_t w = base;
              w < base + static_cast<std::size_t>(numWays); ++w) {
             Way &way = waysStore[w];
-            if (way.valid && way.tag == tag) {
+            const bool live = way.epoch == epoch;
+            if (live && way.tag == tag) {
                 way.lastUse = useClock;
                 ++hitCount;
                 return true;
             }
-            const std::uint64_t age = way.valid ? way.lastUse : 0;
+            const std::uint64_t age = live ? way.lastUse : 0;
             if (age < oldest) {
                 oldest = age;
                 victim = w;
@@ -60,7 +67,7 @@ class CacheModel
         }
         Way &way = waysStore[victim];
         way.tag = tag;
-        way.valid = true;
+        way.epoch = epoch;
         way.lastUse = useClock;
         ++missCount;
         return false;
@@ -78,7 +85,7 @@ class CacheModel
         const Addr tag = tagOf(addr);
         if (tag == hotTag) {
             Way &hw = waysStore[hotWay];
-            if (hw.valid && hw.tag == tag) {
+            if (hw.epoch == epoch && hw.tag == tag) {
                 hw.lastUse = ++useClock;
                 ++hitCount;
                 return true;
@@ -103,7 +110,14 @@ class CacheModel
     /** Probe without side effects. */
     bool contains(Addr addr) const;
 
-    /** Invalidate everything (cold start). */
+    /**
+     * Invalidate everything (cold start) in O(1): a way is valid iff
+     * its epoch tag equals the model's epoch, so bumping the epoch
+     * drops every line at once. Stale ways age as 0 in the LRU scan,
+     * exactly like invalid ones, so victims and hit/miss counts are
+     * those of clearing a valid bit per way. Only when the epoch
+     * wraps are the ways' tags rewritten.
+     */
     void flush();
 
     int sets() const { return numSets; }
@@ -117,8 +131,8 @@ class CacheModel
     struct Way
     {
         Addr tag = 0;
-        bool valid = false;
         std::uint64_t lastUse = 0;
+        Epoch epoch = 0; //!< valid iff equal to CacheModel::epoch
     };
 
     std::size_t setIndex(Addr addr) const
@@ -136,6 +150,7 @@ class CacheModel
     std::vector<Way> waysStore; // numSets * numWays
     Addr hotTag = ~Addr{0};     // accessHot memo: last hit line
     std::size_t hotWay = 0;     // ... and the way that held it
+    Epoch epoch = 1;            // 0 never matches: ways start invalid
     std::uint64_t useClock = 0;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;

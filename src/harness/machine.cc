@@ -94,21 +94,39 @@ Machine::finalize(Addr user_text_offset)
     if (!cfg.interruptsEnabled)
         coreImpl->setInterruptClient(nullptr);
     if (prof) {
-        // Every linked code block is one symbol — the function
-        // granularity the assembler works at.
-        std::vector<obs::ProfileSymbol> symbols;
-        symbols.reserve(prog.blockCount());
-        for (std::size_t b = 0; b < prog.blockCount(); ++b) {
-            const isa::CodeBlock &blk =
-                prog.block(static_cast<int>(b));
-            symbols.push_back({blk.name(), blk.baseAddr(),
-                               static_cast<Count>(blk.bytes())});
-        }
-        prof->setSymbols(std::move(symbols));
+        installProfileSymbols();
         coreImpl->setProfiler(prof.get());
         kernelImpl->setProfiler(prof.get());
     }
     finalized = true;
+}
+
+void
+Machine::replaceUserBlock(isa::CodeBlock block)
+{
+    pca_assert(finalized);
+    const int id = prog.find(block.name());
+    pca_assert(id >= kernelBlocks);
+    prog.replace(id, std::move(block));
+    // The block's size (and so its symbol's extent) changed: a stale
+    // table would attribute samples past the old end of the block.
+    if (prof)
+        installProfileSymbols();
+}
+
+void
+Machine::installProfileSymbols()
+{
+    // Every linked code block is one symbol — the function
+    // granularity the assembler works at.
+    std::vector<obs::ProfileSymbol> symbols;
+    symbols.reserve(prog.blockCount());
+    for (std::size_t b = 0; b < prog.blockCount(); ++b) {
+        const isa::CodeBlock &blk = prog.block(static_cast<int>(b));
+        symbols.push_back({blk.name(), blk.baseAddr(),
+                           static_cast<Count>(blk.bytes())});
+    }
+    prof->setSymbols(std::move(symbols));
 }
 
 void

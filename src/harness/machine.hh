@@ -3,7 +3,8 @@
  * A complete simulated platform: one processor core, a kernel with
  * the appropriate extension loaded, and the user-space measurement
  * library stack — one of the two "patched kernels" of the paper's
- * §3.3, booted fresh for every measurement run.
+ * §3.3. Like the paper's kernels it is booted once and then runs
+ * many measurement programs, each from an exact power-on state.
  */
 
 #ifndef PCA_HARNESS_MACHINE_HH
@@ -94,8 +95,12 @@ struct MachineConfig
 
 /**
  * One booted machine. The paper ran each measurement in a fresh
- * process on a quiet machine; correspondingly a Machine is built,
- * runs one measurement program, and is discarded.
+ * process on a quiet machine; correspondingly every run starts from
+ * reboot(): power-on core, kernel and module state, re-seeded
+ * stochastics. Building the kernel image is paid once: the machine
+ * keeps it, and replaceUserBlock() swaps in the next measurement
+ * program, so one Machine serves every program of its
+ * configuration.
  */
 class Machine
 {
@@ -131,6 +136,18 @@ class Machine
      */
     void finalize(Addr user_text_offset = 0);
 
+    /**
+     * Swap the finalized user block of the same name for @p block
+     * (a new measurement program on this booted machine), laying out
+     * and decoding only that block: the kernel image and its decode,
+     * the caches, the modules, the libraries and the attachment all
+     * stay, and the profiler's symbols follow the new block. The
+     * block must be the last of the user text (HarnessSession's
+     * "main"). After reboot(s), run() equals that of a fresh Machine
+     * at seed s built with @p block.
+     */
+    void replaceUserBlock(isa::CodeBlock block);
+
     /** Execute from the named user block until Halt. */
     cpu::RunResult run(const std::string &entry = "main");
 
@@ -161,6 +178,9 @@ class Machine
     void reboot(std::uint64_t seed);
 
   private:
+    /** Hand the profiler one symbol per linked block. */
+    void installProfileSymbols();
+
     MachineConfig cfg;
     const cpu::MicroArch &archRef;
     std::unique_ptr<cpu::Core> coreImpl;

@@ -67,19 +67,38 @@ toMachineConfig(const HarnessConfig &cfg)
     return mc;
 }
 
+/**
+ * The full cache key. The machine part never contains '|', so two
+ * different part pairs never join to one key.
+ */
+std::string
+joinKey(const ProgramCache::KeyParts &k)
+{
+    return k.machine + '|' + k.program;
+}
+
 } // namespace
 
 HarnessSession::HarnessSession(const HarnessConfig &cfg,
-                               const MicroBenchmark &bench)
-    : cfg(cfg), machine(toMachineConfig(cfg))
+                               const MicroBenchmark &bench,
+                               std::unique_ptr<Machine> booted)
+    : cfg(cfg), machine(std::move(booted))
 {
     detail::validateHarnessConfig(cfg);
+    const bool recycled = machine != nullptr;
+    if (recycled) {
+        pca_assert(machine->config().processor == cfg.processor &&
+                   machine->iface() == cfg.iface);
+        PCA_SPC_INC(MachineReuses);
+    } else {
+        machine = std::make_unique<Machine>(toMachineConfig(cfg));
+    }
 
     ApiConfig acfg;
     acfg.events = counterEvents(cfg);
     acfg.pl = toPlMask(cfg.mode);
     acfg.tsc = cfg.tsc;
-    auto api = makeCounterApi(machine, acfg);
+    auto api = makeCounterApi(*machine, acfg);
 
     Assembler a("main");
 
@@ -146,8 +165,16 @@ HarnessSession::HarnessSession(const HarnessConfig &cfg,
     a.pop(Reg::Ebp);
     a.halt();
 
-    machine.addUserBlock(a.take());
-    machine.finalize();
+    // Only "main" is this session's: the kernel image, the modules
+    // and the libraries are the machine's. Their host ops capture the
+    // machine's own objects, and main's capture this session's sinks
+    // and the machine's PMU, so nothing needs rerouting on reuse.
+    if (recycled) {
+        machine->replaceUserBlock(a.take());
+    } else {
+        machine->addUserBlock(a.take());
+        machine->finalize();
+    }
 
     // The analytical ground truth exists only for the benchmark's
     // retired user-mode instructions.
@@ -190,13 +217,13 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
         const std::uint64_t attempt_seed = a == 0
             ? seed
             : mixSeed(seed, 0xb0ffULL + static_cast<std::uint64_t>(a));
-        machine.reboot(attempt_seed);
+        machine->reboot(attempt_seed);
         s0 = CaptureSink{};
         s1 = CaptureSink{};
         ++runs;
 
-        const Cycles t0 = machine.core().cycles();
-        StatusOr<cpu::RunResult> r = machine.tryRun("main");
+        const Cycles t0 = machine->core().cycles();
+        StatusOr<cpu::RunResult> r = machine->tryRun("main");
         if (!r.ok()) {
             last = r.status();
             if (!last.transient())
@@ -217,7 +244,7 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
                 obs::tracer().complete(
                     "retry:" + std::string(
                                    statusCodeName(last.code())),
-                    "harness", t0, machine.core().cycles() - t0);
+                    "harness", t0, machine->core().cycles() - t0);
             continue;
         }
 
@@ -255,76 +282,96 @@ ProgramCache::ProgramCache(std::size_t capacity)
 {
 }
 
-std::string
-ProgramCache::key(const HarnessConfig &cfg,
-                  const MicroBenchmark &bench)
+ProgramCache::KeyParts
+ProgramCache::keyParts(const HarnessConfig &cfg,
+                       const MicroBenchmark &bench)
 {
-    std::string k;
-    k.reserve(96);
-    k += cpu::processorCode(cfg.processor);
-    k += '/';
-    k += interfaceCode(cfg.iface);
-    k += '/';
-    k += patternName(cfg.pattern);
-    k += '/';
-    k += countingModeName(cfg.mode);
-    k += "/O" + std::to_string(cfg.optLevel);
-    k += "/e" + std::to_string(static_cast<int>(cfg.primaryEvent));
-    for (cpu::EventType ev : cfg.extraEvents)
-        k += "," + std::to_string(static_cast<int>(ev));
-    k += cfg.tsc ? "/tsc" : "/notsc";
-    k += cfg.interruptsEnabled ? "/int" : "/noint";
-    k += cfg.ioInterrupts ? "/io" : "/noio";
+    KeyParts k;
+    std::string &m = k.machine;
+    m.reserve(96);
+    m += cpu::processorCode(cfg.processor);
+    m += '/';
+    m += interfaceCode(cfg.iface);
+    m += cfg.interruptsEnabled ? "/int" : "/noint";
+    m += cfg.ioInterrupts ? "/io" : "/noio";
     // Exact bit pattern, not a rounded decimal: two preemption
     // probabilities must never alias to one cache entry.
     char prob[40];
     std::snprintf(prob, sizeof prob, "/p%a", cfg.preemptProb);
-    k += prob;
-    k += cfg.fastForward ? "/ff" : "/noff";
-    k += cfg.decodeCache ? "/dc" : "/nodc";
+    m += prob;
+    m += cfg.fastForward ? "/ff" : "/noff";
+    m += cfg.decodeCache ? "/dc" : "/nodc";
     // Sessions built under different fault plans simulate different
     // machines; they must never alias (the seed stays excluded — it
     // varies per run, not per program).
-    k += '/';
-    k += cfg.faults.fingerprint();
+    m += '/';
+    m += cfg.faults.fingerprint();
     // Run budgets change outcomes (a budgeted run can deadline);
     // appended only when set so unbudgeted keys stay as before.
     if (cfg.runInstrBudget != 0 || cfg.runCycleBudget != 0)
-        k += "/wd" + std::to_string(cfg.runInstrBudget) + ":" +
+        m += "/wd" + std::to_string(cfg.runInstrBudget) + ":" +
              std::to_string(cfg.runCycleBudget);
-    // A profiled session carries per-machine profiler state; it must
+    // A profiled machine carries per-machine profiler state; it must
     // never alias an unprofiled one (or one with another skid model).
-    k += "/prof:";
-    k += cfg.profile.fingerprint();
-    k += '/';
-    k += bench.cacheKey();
+    m += "/prof:";
+    m += cfg.profile.fingerprint();
+
+    std::string &p = k.program;
+    p.reserve(64);
+    p += patternName(cfg.pattern);
+    p += '/';
+    p += countingModeName(cfg.mode);
+    p += "/O" + std::to_string(cfg.optLevel);
+    p += "/e" + std::to_string(static_cast<int>(cfg.primaryEvent));
+    for (cpu::EventType ev : cfg.extraEvents)
+        p += "," + std::to_string(static_cast<int>(ev));
+    p += cfg.tsc ? "/tsc" : "/notsc";
+    p += '/';
+    p += bench.cacheKey();
     return k;
+}
+
+std::string
+ProgramCache::key(const HarnessConfig &cfg,
+                  const MicroBenchmark &bench)
+{
+    return joinKey(keyParts(cfg, bench));
 }
 
 HarnessSession &
 ProgramCache::session(const HarnessConfig &cfg,
                       const MicroBenchmark &bench)
 {
-    const std::string k = key(cfg, bench);
+    KeyParts parts = keyParts(cfg, bench);
+    std::string k = joinKey(parts);
     auto it = index.find(k);
     if (it != index.end()) {
         ++hitCount;
         PCA_SPC_INC(ProgramCacheHits);
         entries.splice(entries.begin(), entries, it->second);
-        return *entries.front().second;
+        return *entries.front().session;
     }
 
     ++missCount;
     PCA_SPC_INC(ProgramCacheMisses);
-    entries.emplace_front(
-        k, std::make_unique<HarnessSession>(cfg, bench));
-    index[k] = entries.begin();
-
-    if (entries.size() > cap) {
-        index.erase(entries.back().first);
+    // Evict before building, so a miss never holds cap + 1 machines;
+    // the victim's machine carries over when it is the same machine.
+    std::unique_ptr<Machine> machine;
+    if (entries.size() >= cap) {
+        Entry &victim = entries.back();
+        if (victim.machineKey == parts.machine)
+            machine = victim.session->releaseMachine();
+        else
+            PCA_SPC_INC(MachineReuseRejectConfig);
+        index.erase(victim.key);
         entries.pop_back();
     }
-    return *entries.front().second;
+    auto session =
+        std::make_unique<HarnessSession>(cfg, bench, std::move(machine));
+    entries.push_front(
+        {std::move(k), std::move(parts.machine), std::move(session)});
+    index[entries.front().key] = entries.begin();
+    return *entries.front().session;
 }
 
 std::vector<StatusOr<Measurement>>

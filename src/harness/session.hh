@@ -15,11 +15,15 @@
  * by tests/test_parallel.cc); caching is therefore invisible in
  * study output.
  *
- * ProgramCache memoizes sessions by (configuration, benchmark) so
- * per-point run loops — and anything else replaying a configuration
- * — share one immutable assembled program. Neither class is
- * thread-safe: under the parallel study engine each worker owns a
- * private cache (points are partitioned, never split across
+ * One level up, the booted machine outlives its program: like the
+ * paper's two patched kernels, which ran thousands of measurement
+ * processes each, a machine is booted once per machine configuration
+ * and a new session only swaps in its own user program
+ * (Machine::replaceUserBlock). ProgramCache memoizes sessions by
+ * (configuration, benchmark) and hands an evicted session's machine
+ * to the next session of the same machine configuration. Neither
+ * class is thread-safe: under the parallel study engine each worker
+ * owns a private cache (points are partitioned, never split across
  * workers).
  */
 
@@ -42,19 +46,29 @@ namespace pca::harness
 {
 
 /**
- * One assembled measurement program bound to one (rebootable)
+ * One assembled measurement program loaded on one (rebootable)
  * machine. Build once, run many: each run() reboots the machine with
  * the given seed and executes the program from the top — setup,
  * pattern calls, benchmark, teardown — exactly as a fresh harness
- * would. Sessions are pinned to one address (the emitted host ops
- * capture pointers into the session), hence non-copyable and
- * non-movable.
+ * would. The machine is either booted for the session or recycled
+ * from an earlier session of the same machine configuration, which
+ * changes no result. Sessions are pinned to one address (the emitted
+ * host ops capture pointers into the session), hence non-copyable
+ * and non-movable.
  */
 class HarnessSession
 {
   public:
+    /**
+     * Assemble the program for (@p cfg, @p bench) and load it on
+     * @p machine, or on a freshly booted machine when it is null. A
+     * given machine must come from releaseMachine() of a session
+     * whose config has the same ProgramCache::keyParts().machine:
+     * only the user program "main" is replaced on it.
+     */
     HarnessSession(const HarnessConfig &cfg,
-                   const MicroBenchmark &bench);
+                   const MicroBenchmark &bench,
+                   std::unique_ptr<Machine> machine = nullptr);
 
     HarnessSession(const HarnessSession &) = delete;
     HarnessSession &operator=(const HarnessSession &) = delete;
@@ -95,9 +109,20 @@ class HarnessSession
     /** Total virtual backoff charged by retries so far. */
     Cycles backoffCycles() const { return backoff; }
 
+    /**
+     * Hand the booted machine on to the next session of the same
+     * machine configuration. This session cannot run afterwards, and
+     * the machine must not run before a new session loads its
+     * program (the old one writes into this session's sinks).
+     */
+    std::unique_ptr<Machine> releaseMachine()
+    {
+        return std::move(machine);
+    }
+
   private:
     HarnessConfig cfg;
-    Machine machine;
+    std::unique_ptr<Machine> machine;
     CaptureSink s0, s1;
     Count expected = 0;
     std::uint64_t runs = 0;
@@ -108,9 +133,14 @@ class HarnessSession
  * LRU cache of HarnessSessions keyed by everything that shapes the
  * assembled program: the full HarnessConfig minus the seed, plus the
  * benchmark's cacheKey(). Capacity bounds the number of live
- * simulated machines; eviction cannot change results because cached
- * and freshly built sessions are result-identical. Hits and misses
- * feed the program_cache_hits / program_cache_misses SPC counters.
+ * simulated machines: a miss at capacity evicts before it builds.
+ * When the evicted session's machine key equals the new one's, the
+ * new session is built on the evicted session's booted machine
+ * instead of a fresh one. Eviction and recycling cannot change
+ * results because cached, recycled and freshly built sessions are
+ * result-identical. Hits and misses feed the program_cache_hits /
+ * program_cache_misses SPC counters; machine_reuses and
+ * machine_reuse_reject_config say how each eviction went.
  */
 class ProgramCache
 {
@@ -125,7 +155,24 @@ class ProgramCache
     HarnessSession &session(const HarnessConfig &cfg,
                             const MicroBenchmark &bench);
 
-    /** Cache key for (cfg, bench); exposed for tests. */
+    /** A cache key split by what each part shapes. */
+    struct KeyParts
+    {
+        /**
+         * Every field the booted machine depends on (what
+         * toMachineConfig reads, bar the seed): sessions with equal
+         * machine parts can share one machine.
+         */
+        std::string machine;
+        /** Pattern, mode, opt level, events, tsc and benchmark. */
+        std::string program;
+    };
+
+    /** Both parts of the cache key for (cfg, bench). */
+    static KeyParts keyParts(const HarnessConfig &cfg,
+                             const MicroBenchmark &bench);
+
+    /** Cache key for (cfg, bench): the two parts joined. */
     static std::string key(const HarnessConfig &cfg,
                            const MicroBenchmark &bench);
 
@@ -134,8 +181,12 @@ class ProgramCache
     std::uint64_t misses() const { return missCount; }
 
   private:
-    using Entry =
-        std::pair<std::string, std::unique_ptr<HarnessSession>>;
+    struct Entry
+    {
+        std::string key;
+        std::string machineKey;
+        std::unique_ptr<HarnessSession> session;
+    };
 
     std::size_t cap;
     std::list<Entry> entries; //!< most recently used first

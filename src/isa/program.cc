@@ -54,6 +54,26 @@ Program::link2(Addr user_base, Addr kernel_base, Addr align)
     isLinked = true;
 }
 
+void
+Program::replace(int id, CodeBlock block)
+{
+    pca_assert(isLinked);
+    pca_assert(id >= 0 && id < static_cast<int>(blocks.size()));
+    const auto i = static_cast<std::size_t>(id);
+    pca_assert(blockSegments[i] == 0);
+    for (std::size_t j = i + 1; j < blocks.size(); ++j)
+        pca_assert(blockSegments[j] != 0);
+    if (block.name() != blocks[i].name())
+        pca_panic("replacing block '", blocks[i].name(), "' with '",
+                  block.name(), "'");
+    const Addr base = blocks[i].baseAddr();
+    totalBytes -= blocks[i].bytes();
+    blocks[i] = std::move(block);
+    blocks[i].layout(base);
+    totalBytes += blocks[i].bytes();
+    decodedBlocks[i].build(blocks[i]);
+}
+
 int
 Program::find(const std::string &name) const
 {

@@ -62,6 +62,16 @@ class Program
 
     bool linked() const { return isLinked; }
 
+    /**
+     * Swap block @p id of a linked program for @p block, which must
+     * carry the same name: the new block is laid out at the old
+     * one's base address and decoded, and no other block moves or is
+     * re-decoded. Only the last block of the user segment can be
+     * replaced (a size change would shift any later one). The result
+     * equals linking the program afresh with @p block in that slot.
+     */
+    void replace(int id, CodeBlock block);
+
     std::size_t blockCount() const { return blocks.size(); }
     const CodeBlock &block(int id) const { return blocks.at(id); }
     CodeBlock &block(int id) { return blocks.at(id); }

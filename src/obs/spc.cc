@@ -19,6 +19,9 @@ spcName(Spc c)
 {
     switch (c) {
       case Spc::MachineBoots: return "machine_boots";
+      case Spc::MachineReuses: return "machine_reuses";
+      case Spc::MachineReuseRejectConfig:
+        return "machine_reuse_reject_config";
       case Spc::RunsExecuted: return "runs_executed";
       case Spc::InterruptsTimer: return "interrupts_timer";
       case Spc::InterruptsIo: return "interrupts_io";
@@ -137,7 +140,7 @@ spcDump(std::ostream &os)
     for (Spc c : allSpcs()) {
         if (!spcEnabled(c))
             continue;
-        os << "  " << padRight(spcName(c), 26) << ' ' << spcValue(c)
+        os << "  " << padRight(spcName(c), 28) << ' ' << spcValue(c)
            << '\n';
     }
 }

@@ -27,6 +27,8 @@ namespace pca::obs
 enum class Spc : std::uint8_t
 {
     MachineBoots,       //!< simulated machines constructed
+    MachineReuses,      //!< sessions built on a recycled machine
+    MachineReuseRejectConfig, //!< evictions whose machine did not fit
     RunsExecuted,       //!< Machine::run invocations
     InterruptsTimer,    //!< timer interrupts delivered to a core
     InterruptsIo,       //!< I/O interrupts delivered to a core

@@ -4,12 +4,18 @@
  * branch predictor, and front-end fetch model.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cpu/cache.hh"
 #include "cpu/frontend.hh"
 #include "cpu/microarch.hh"
 #include "cpu/predictor.hh"
+#include "support/random.hh"
 
 namespace pca::cpu
 {
@@ -71,6 +77,214 @@ TEST(Cache, TlbGeometryWorks)
         EXPECT_TRUE(tlb.access(p * 4096));
     EXPECT_FALSE(tlb.access(32 * 4096)); // evicts page 0 (LRU)
     EXPECT_FALSE(tlb.contains(0));
+}
+
+/**
+ * The cache model as it was before epoch flushes: a valid bit per
+ * way, cleared one by one on flush. accessHot() has access()'s exact
+ * semantics, so the reference needs no memo.
+ */
+class ValidBitCache
+{
+  public:
+    ValidBitCache(int sets, int ways, int line_bytes)
+        : numSets(sets), numWays(ways),
+          ways_(static_cast<std::size_t>(sets) * ways)
+    {
+        while ((1 << shift) < line_bytes)
+            ++shift;
+    }
+
+    bool
+    access(Addr addr)
+    {
+        const std::size_t base = set(addr) * numWays;
+        const Addr tag = addr >> shift;
+        ++clock;
+        std::size_t victim = base;
+        std::uint64_t oldest = UINT64_MAX;
+        for (std::size_t w = base; w < base + numWays; ++w) {
+            Way &way = ways_[w];
+            if (way.valid && way.tag == tag) {
+                way.lastUse = clock;
+                ++hitCount;
+                return true;
+            }
+            const std::uint64_t age = way.valid ? way.lastUse : 0;
+            if (age < oldest) {
+                oldest = age;
+                victim = w;
+            }
+        }
+        ways_[victim] = {tag, true, clock};
+        ++missCount;
+        return false;
+    }
+
+    bool
+    contains(Addr addr) const
+    {
+        const std::size_t base = set(addr) * numWays;
+        for (std::size_t w = base; w < base + numWays; ++w)
+            if (ways_[w].valid && ways_[w].tag == addr >> shift)
+                return true;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &way : ways_)
+            way.valid = false;
+        clock = 0;
+    }
+
+    std::uint64_t hits() const { return hitCount; }
+    std::uint64_t misses() const { return missCount; }
+
+  private:
+    struct Way
+    {
+        Addr tag = 0;
+        bool valid = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::size_t
+    set(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr >> shift) &
+                                        static_cast<Addr>(numSets - 1));
+    }
+
+    int numSets;
+    std::size_t numWays;
+    int shift = 0;
+    std::vector<Way> ways_;
+    std::uint64_t clock = 0;
+    std::uint64_t hitCount = 0;
+    std::uint64_t missCount = 0;
+};
+
+/** A CacheModel and its valid-bit reference driven in lockstep. */
+struct CachePair
+{
+    CacheModel epoch;
+    ValidBitCache ref;
+    Rng rng;
+
+    CachePair(int sets, int ways, int line_bytes, std::uint64_t seed)
+        : epoch(sets, ways, line_bytes), ref(sets, ways, line_bytes),
+          rng(seed)
+    {
+    }
+
+    /**
+     * A random address that lands in one of the first few sets with
+     * one of ways + 3 tags, so sets overflow and LRU victims matter
+     * even in a 64K-way L2.
+     */
+    Addr
+    address()
+    {
+        const auto sets = static_cast<Addr>(epoch.sets());
+        const auto line = static_cast<Addr>(epoch.lineBytes());
+        const Addr set = rng.nextBelow(std::min<Addr>(sets, 4));
+        const Addr tag =
+            rng.nextBelow(static_cast<Addr>(epoch.ways()) + 3);
+        return (tag * sets + set) * line + rng.nextBelow(line);
+    }
+
+    /** One random operation on both models; false on disagreement. */
+    bool
+    step(bool allow_flush)
+    {
+        const Addr a = address();
+        switch (rng.nextBelow(allow_flush ? 4 : 3)) {
+          case 0:
+            if (epoch.access(a) != ref.access(a))
+                return false;
+            break;
+          case 1:
+            if (epoch.accessHot(a) != ref.access(a))
+                return false;
+            break;
+          case 2:
+            if (epoch.contains(a) != ref.contains(a))
+                return false;
+            break;
+          default:
+            epoch.flush();
+            ref.flush();
+        }
+        return epoch.hits() == ref.hits() &&
+            epoch.misses() == ref.misses();
+    }
+};
+
+TEST(CacheEpoch, MatchesValidBitModelOnEveryGeometry)
+{
+    struct Geometry
+    {
+        int sets, ways, line;
+    };
+    std::vector<Geometry> geometries = {
+        {1, 1, 64}, {1, 2, 64}, {4, 1, 64}, {8, 4, 32}, {16, 8, 64}};
+    for (Processor p : allProcessors()) {
+        const MicroArch &m = microArch(p);
+        geometries.push_back(
+            {m.icacheSets, m.icacheWays, m.icacheLineBytes});
+        geometries.push_back({std::max(1, m.itlbEntries / m.itlbWays),
+                              m.itlbWays, 4096});
+        geometries.push_back(
+            {m.dcacheSets, m.dcacheWays, m.dcacheLineBytes});
+        geometries.push_back({m.l2Sets, m.l2Ways, m.l2LineBytes});
+        // Fully associative on K8 and NetBurst.
+        geometries.push_back({std::max(1, m.dtlbEntries / m.dtlbWays),
+                              m.dtlbWays, 4096});
+        // The branch predictor's BTB: 1-way on K8.
+        geometries.push_back({m.btbSets, m.btbWays, 4});
+    }
+    std::uint64_t seed = 1;
+    for (const Geometry &g : geometries) {
+        CachePair pair(g.sets, g.ways, g.line, seed++);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_TRUE(pair.step(/*allow_flush=*/true))
+                << g.sets << "x" << g.ways << "x" << g.line
+                << " diverged at operation " << i;
+    }
+}
+
+TEST(CacheEpoch, WraparoundClearsStaleWays)
+{
+    // A line filled in the first epoch and never touched again must
+    // stay invalid across the flush that wraps the epoch counter:
+    // without the clear it would read as valid again.
+    const auto period = static_cast<long>(
+        std::numeric_limits<CacheModel::Epoch>::max());
+    CacheModel c(4, 2, 64);
+    ValidBitCache ref(4, 2, 64);
+    EXPECT_FALSE(c.access(0x40));
+    ref.access(0x40);
+    for (long f = 1; f <= 2 * period + 2; ++f) {
+        c.flush();
+        ref.flush();
+        ASSERT_FALSE(c.contains(0x40)) << "after " << f << " flushes";
+    }
+    EXPECT_FALSE(c.access(0x40));
+    ref.access(0x40);
+
+    // Random traffic across several wraps, flushing often.
+    CachePair pair(4, 2, 64, 7);
+    for (long i = 0; i < 3 * period; ++i) {
+        pair.epoch.flush();
+        pair.ref.flush();
+        for (int k = 0; k < 3; ++k)
+            ASSERT_TRUE(pair.step(/*allow_flush=*/false))
+                << "diverged after " << i << " flushes";
+    }
+    EXPECT_EQ(c.hits(), ref.hits());
+    EXPECT_EQ(c.misses(), ref.misses());
 }
 
 TEST(Predictor, LoopBranchWarmsUp)

@@ -22,6 +22,8 @@
 #include "harness/session.hh"
 #include "isa/assembler.hh"
 #include "kernel/faults.hh"
+#include "obs/spc.hh"
+#include "obs/trace.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
 #include "support/random.hh"
@@ -232,6 +234,7 @@ expectSameMeasurement(const Measurement &a, const Measurement &b)
     EXPECT_EQ(a.run.kernelInstr, b.run.kernelInstr);
     EXPECT_EQ(a.run.cycles, b.run.cycles);
     EXPECT_EQ(a.run.interrupts, b.run.interrupts);
+    EXPECT_EQ(a.run.fastForwardedIters, b.run.fastForwardedIters);
     EXPECT_EQ(a.attribution.patternOverhead,
               b.attribution.patternOverhead);
     EXPECT_EQ(a.attribution.timerInterrupts,
@@ -239,6 +242,39 @@ expectSameMeasurement(const Measurement &a, const Measurement &b)
     EXPECT_EQ(a.attribution.ioInterrupts, b.attribution.ioInterrupts);
     EXPECT_EQ(a.attribution.preemption, b.attribution.preemption);
     EXPECT_EQ(a.attribution.other, b.attribution.other);
+}
+
+/** Equal measurements, or equal failures (fault plans). */
+void
+expectSameOutcome(const StatusOr<Measurement> &a,
+                  const StatusOr<Measurement> &b)
+{
+    ASSERT_EQ(a.ok(), b.ok());
+    if (a.ok())
+        expectSameMeasurement(*a, *b);
+    else
+        EXPECT_EQ(a.status().toString(), b.status().toString());
+}
+
+/**
+ * A config on @p b's machine whose program differs from b's in
+ * pattern, mode, counter count, tsc and opt level.
+ */
+HarnessConfig
+otherProgramOn(const HarnessConfig &b)
+{
+    HarnessConfig a = b;
+    a.pattern = b.pattern == AccessPattern::StartRead
+        ? AccessPattern::StartStop
+        : AccessPattern::StartRead;
+    a.mode = b.mode == CountingMode::User ? CountingMode::UserKernel
+                                          : CountingMode::User;
+    a.extraEvents.clear();
+    if (b.extraEvents.empty())
+        a.extraEvents.push_back(cpu::EventType::CpuClkUnhalted);
+    a.tsc = !b.tsc;
+    a.optLevel = 3 - b.optLevel;
+    return a;
 }
 
 } // namespace
@@ -272,6 +308,121 @@ TEST(SessionEquivalence, RebootedRunEqualsFreshHarness)
             expectSameMeasurement(warm, warmAgain);
         }
     }
+}
+
+/**
+ * The contract machine recycling rests on: a session built on the
+ * machine another session released equals a fresh boot, for every
+ * processor and interface, whatever program ran there before.
+ */
+TEST(SessionEquivalence, RecycledMachineEqualsFreshBoot)
+{
+    const LoopBench bench(5000);
+    const LoopBench before(300);
+    for (cpu::Processor proc : cpu::allProcessors()) {
+        for (Interface iface : allInterfaces()) {
+            HarnessConfig cfg;
+            cfg.processor = proc;
+            cfg.iface = iface;
+            cfg.pattern = patternSupported(iface, AccessPattern::ReadStop)
+                ? AccessPattern::ReadStop
+                : AccessPattern::StartStop;
+            cfg.extraEvents = {cpu::EventType::CpuClkUnhalted};
+            cfg.optLevel = 3;
+            const HarnessConfig prev = otherProgramOn(cfg);
+            ASSERT_EQ(ProgramCache::keyParts(prev, before).machine,
+                      ProgramCache::keyParts(cfg, bench).machine);
+            ASSERT_NE(ProgramCache::keyParts(prev, before).program,
+                      ProgramCache::keyParts(cfg, bench).program);
+
+            HarnessSession a(prev, before);
+            a.run(5);
+            a.run(6);
+            HarnessSession b(cfg, bench, a.releaseMachine());
+            for (std::uint64_t seed : {77u, 78u}) {
+                cfg.seed = seed;
+                expectSameMeasurement(
+                    b.run(seed), MeasurementHarness(cfg).measure(bench));
+            }
+        }
+    }
+}
+
+/**
+ * Recycling after a run the watchdog killed: the predecessor's last
+ * run wedged in the hang plan's k_hang block and was reaped.
+ */
+TEST(SessionEquivalence, RecycledAfterAWatchdogKillEqualsFreshBoot)
+{
+    const LoopBench bench(2000);
+    HarnessConfig cfg;
+    cfg.iface = Interface::Pm;
+    cfg.faults = kernel::FaultPlan::parse(
+        "seed=4,hang=0.2,budget=300000,retries=0");
+    cfg.pattern = AccessPattern::ReadRead;
+    const HarnessConfig prev = otherProgramOn(cfg);
+
+    HarnessSession a(prev, NullBench{});
+    std::uint64_t hung = 1;
+    for (;; ++hung) {
+        ASSERT_LT(hung, 64u) << "no seed hung";
+        const auto r = a.tryRun(hung);
+        if (!r.ok() &&
+            r.status().code() == StatusCode::DeadlineExceeded)
+            break;
+    }
+    HarnessSession b(cfg, bench, a.releaseMachine());
+    int ok = 0;
+    for (std::uint64_t seed = hung; seed < hung + 8; ++seed) {
+        const auto viaRecycled = b.tryRun(seed);
+        ok += viaRecycled.ok();
+        expectSameOutcome(viaRecycled,
+                          HarnessSession(cfg, bench).tryRun(seed));
+    }
+    EXPECT_GT(ok, 0);
+}
+
+/**
+ * Recycling after a traced session: its phase-marker host ops lived
+ * in its own program and leave with it.
+ */
+TEST(SessionEquivalence, RecycledAfterATracedSessionEqualsFreshBoot)
+{
+    const LoopBench bench(1000);
+    HarnessConfig cfg;
+    cfg.iface = Interface::PLpc;
+    cfg.seed = 31;
+    const HarnessConfig prev = otherProgramOn(cfg);
+
+    obs::tracer().clear();
+    obs::tracer().setEnabled(true);
+    HarnessSession a(prev, NullBench{});
+    a.run(3);
+    obs::tracer().setEnabled(false);
+    EXPECT_GT(obs::tracer().size(), 0u);
+    obs::tracer().clear();
+
+    HarnessSession b(cfg, bench, a.releaseMachine());
+    expectSameMeasurement(b.run(31),
+                          MeasurementHarness(cfg).measure(bench));
+    EXPECT_EQ(obs::tracer().size(), 0u);
+}
+
+/** Recycling a machine that boots with the sampling profiler. */
+TEST(SessionEquivalence, RecycledProfiledMachineEqualsFreshBoot)
+{
+    const LoopBench bench(20000);
+    HarnessConfig cfg;
+    cfg.iface = Interface::PHpm;
+    cfg.seed = 9;
+    cfg.profile.enabled = true;
+    const HarnessConfig prev = otherProgramOn(cfg);
+
+    HarnessSession a(prev, NullBench{});
+    a.run(4);
+    HarnessSession b(cfg, bench, a.releaseMachine());
+    expectSameMeasurement(b.run(9),
+                          MeasurementHarness(cfg).measure(bench));
 }
 
 TEST(SessionEquivalence, CoversModesAndCounterSets)
@@ -408,6 +559,84 @@ TEST(ProgramCache, HitsAndMissesAndLru)
     const Measurement m = evicted.run(42);
     b.seed = 42;
     expectSameMeasurement(m, MeasurementHarness(b).measure(bench));
+}
+
+namespace
+{
+
+/** A null benchmark that records its cache's size when emitted. */
+class CacheSizeProbe : public MicroBenchmark
+{
+  public:
+    CacheSizeProbe(const ProgramCache &cache, int id,
+                   std::vector<std::size_t> &sizes)
+        : cache(cache), id(id), sizes(sizes)
+    {
+    }
+
+    std::string name() const override { return "probe"; }
+    std::string cacheKey() const override
+    {
+        return "probe" + std::to_string(id);
+    }
+    void
+    emit(isa::Assembler &a) const override
+    {
+        (void)a;
+        sizes.push_back(cache.size());
+    }
+    Count expectedInstructions() const override { return 0; }
+
+  private:
+    const ProgramCache &cache;
+    int id;
+    std::vector<std::size_t> &sizes;
+};
+
+} // namespace
+
+TEST(ProgramCache, AMissAtCapacityNeverExceedsIt)
+{
+    // A session is built while its cache holds the others: at
+    // capacity, the victim must already be gone.
+    HarnessConfig cfg;
+    for (std::size_t cap : {1u, 2u, 3u}) {
+        ProgramCache cache(cap);
+        std::vector<std::size_t> sizes;
+        for (int i = 0; i < 6; ++i)
+            cache.session(cfg, CacheSizeProbe(cache, i, sizes));
+        ASSERT_EQ(sizes.size(), 6u);
+        for (std::size_t live : sizes)
+            EXPECT_LE(live + 1, cap);
+        EXPECT_EQ(cache.size(), cap);
+    }
+}
+
+TEST(ProgramCache, RecyclesAnEvictedMachineOfTheSameConfig)
+{
+    using obs::Spc;
+    obs::spcAttach(
+        "machine_boots,machine_reuses,machine_reuse_reject_config");
+    HarnessConfig pc;
+    pc.iface = Interface::Pc;
+    HarnessConfig pcO0 = pc;
+    pcO0.optLevel = 0;
+    HarnessConfig pm;
+    pm.iface = Interface::Pm;
+
+    ProgramCache cache(1);
+    cache.session(pc, NullBench{});     // boots
+    cache.session(pcO0, NullBench{});   // reuses pc's machine
+    cache.session(pm, NullBench{});     // rejects it, boots
+    cache.session(pm, LoopBench{4000}); // reuses pm's machine
+    EXPECT_EQ(obs::spcValue(Spc::MachineBoots), 2u);
+    EXPECT_EQ(obs::spcValue(Spc::MachineReuses), 2u);
+    EXPECT_EQ(obs::spcValue(Spc::MachineReuseRejectConfig), 1u);
+    obs::spcReset();
+
+    pm.seed = 5;
+    expectSameMeasurement(cache.session(pm, LoopBench{4000}).run(5),
+                          MeasurementHarness(pm).measure(LoopBench{4000}));
 }
 
 TEST(ProgramCache, KeyIgnoresSeedOnly)

@@ -414,6 +414,70 @@ TEST(ProfiledMachine, RebootIsDeterministicAndResetsProfile)
     EXPECT_EQ(m->profiler()->ticks(), ticks1);
 }
 
+namespace
+{
+
+/** A one-block user program: @p pad work instructions, a loop. */
+isa::CodeBlock
+loopMain(int pad, int iters)
+{
+    isa::Assembler a("main");
+    if (pad > 0)
+        a.work(pad);
+    a.movImm(isa::Reg::Eax, 0);
+    const int loop = a.label();
+    a.addImm(isa::Reg::Eax, 1).cmpImm(isa::Reg::Eax, iters).jne(loop);
+    a.work(pad + 1).halt();
+    return a.take();
+}
+
+} // namespace
+
+/**
+ * A machine that gets a new user program keeps its kernel image but
+ * not the old program's symbol extent: samples in the (larger) new
+ * block attribute exactly as on a freshly booted machine.
+ */
+TEST(ProfiledMachine, SymbolsFollowAReplacedUserBlock)
+{
+    MachineConfig mc;
+    mc.processor = cpu::Processor::AthlonX2;
+    mc.iface = Interface::Pc;
+    mc.timerPeriodOverride = 9973;
+    mc.profile.enabled = true;
+
+    Machine recycled(mc);
+    recycled.addUserBlock(loopMain(0, 100));
+    recycled.finalize();
+    recycled.run();
+    recycled.replaceUserBlock(loopMain(4000, 60000));
+    recycled.reboot(mc.seed);
+    recycled.run();
+
+    Machine fresh(mc);
+    fresh.addUserBlock(loopMain(4000, 60000));
+    fresh.finalize();
+    fresh.run();
+
+    const obs::Profiler &p = *recycled.profiler();
+    const obs::Profiler &q = *fresh.profiler();
+    ASSERT_GT(p.samples(), 10u);
+    EXPECT_EQ(p.sampleHist(), q.sampleHist());
+    EXPECT_EQ(p.trueHist(), q.trueHist());
+    const isa::CodeBlock &main =
+        recycled.program().block(recycled.program().find("main"));
+    EXPECT_EQ(p.symbolFor(main.baseAddr() + main.bytes() - 1), "main");
+    const auto got = p.biasReport();
+    const auto want = q.biasReport();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].symbol, want[i].symbol);
+        EXPECT_EQ(got[i].samples, want[i].samples);
+        EXPECT_EQ(got[i].trueInstrs, want[i].trueInstrs);
+        EXPECT_EQ(got[i].trueCycles, want[i].trueCycles);
+    }
+}
+
 // ---------------------------------------------------------------- //
 // Snapshot seqlock
 // ---------------------------------------------------------------- //
