@@ -337,7 +337,7 @@ escapeSpc(Opcode op)
  * single dispatch. Returns the number of steps taken (== retired
  * instructions for inline runs; 1 for the escape fallback).
  *
- * Bit-identity with the per-step interpreter rests on four facts:
+ * Bit-identity with the per-step interpreter rests on five facts:
  *  - run() only dispatches here when PMU sampling is inactive, and no
  *    inline opcode can arm it, so a PMI can never become pending
  *    mid-run;
@@ -350,7 +350,10 @@ escapeSpc(Opcode op)
  *    sampling is off, so batching it to one count() per run is
  *    invisible — and the batch is flushed (commit) before anything
  *    that could observe it: escapes, fast-forward, or return;
- *  - curMode cannot change inside a run (mode transitions escape).
+ *  - curMode cannot change inside a run (mode transitions escape);
+ *  - a line's NOP batch is charged exactly as its NOPs one by one
+ *    (FrontEnd::onNopRun) and is only taken when stepping them would
+ *    not break the dispatch before its end (see the batch below).
  */
 Count
 Core::stepDecodedBlock()
@@ -434,6 +437,10 @@ Core::stepDecodedBlock()
 
     const isa::DecodedInst *code = db.data();
     std::size_t limit = segment_limit(idx, total, run_end);
+    // NOPs before this index take the per-instruction path: the batch
+    // covering them was refused.
+    std::size_t plain_until = 0;
+    const auto line_bytes = static_cast<std::size_t>(1) << icLineShift;
     for (;;) {
         const isa::DecodedInst &di = code[idx];
 
@@ -461,6 +468,42 @@ Core::stepDecodedBlock()
                     pend +=
                         static_cast<Cycles>(archRef.itlbMissPenalty);
                     countEvent(EventType::ItlbMiss);
+                }
+            }
+        }
+
+        // NOP batch: retire the single-byte NOPs left in this icache
+        // line at once. Their fetch is the line access just made, the
+        // front end charges them in closed form, and they change no
+        // other state. Per-instruction stepping would break after the
+        // first of them to reach the interrupt horizon or the limit;
+        // pend only grows, so a batch that ends below the horizon and
+        // within the limit passes no break point, and one that does
+        // not is refused and stepped instead.
+        if ((di.flags & isa::DiNop) != 0 && idx >= plain_until) {
+            const std::size_t m = std::min(
+                static_cast<std::size_t>(di.nopEnd) - idx,
+                line_bytes - (di.addr & (line_bytes - 1)));
+            if (idx + m > limit) {
+                PCA_SPC_INC(NopBatchRejectLimit);
+                plain_until = idx + m;
+            } else {
+                const FrontEnd::Cursor undo = frontEnd.cursor();
+                const Cycles c = frontEnd.onNopRun(di.addr, m);
+                if (check_irq && cycleCount + pend + c >= irq_due) {
+                    frontEnd.setCursor(undo);
+                    PCA_SPC_INC(NopBatchRejectIrq);
+                    plain_until = idx + m;
+                } else {
+                    PCA_SPC_INC(NopBatches);
+                    PCA_SPC_ADD(NopBatchInstrs, m);
+                    pend += c;
+                    retired += m;
+                    total += m;
+                    idx += m;
+                    if (idx >= limit)
+                        break;
+                    continue;
                 }
             }
         }

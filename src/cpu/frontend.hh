@@ -16,6 +16,8 @@
 #ifndef PCA_CPU_FRONTEND_HH
 #define PCA_CPU_FRONTEND_HH
 
+#include <algorithm>
+
 #include "cpu/microarch.hh"
 #include "support/types.hh"
 
@@ -64,6 +66,82 @@ class FrontEnd
             issued = 0;
         }
         return c;
+    }
+
+    /**
+     * Account for fetching/decoding @p n single-byte instructions at
+     * addr, addr + 1, ..., addr + n - 1 in closed form: returns what
+     * n successive onInst(addr + i, 1) calls return in total and
+     * leaves the same cursor() behind.
+     *
+     * While the loop-stream detector streams, windows are not
+     * tracked: n more instructions complete (issued + n) / decodeWidth
+     * decode groups. Otherwise the run splits into its fetch windows.
+     * The first one continues the current decode group when it is the
+     * current window; every newly entered window holding k of the
+     * instructions costs its entry cycle plus k / decodeWidth groups
+     * (the group restarts on entry) and leaves k % decodeWidth
+     * issued. Full windows all hold fetchBytes instructions.
+     */
+    Cycles onNopRun(Addr addr, Count n)
+    {
+        if (n == 0)
+            return 0;
+        const auto width = static_cast<Count>(arch.decodeWidth);
+        if (lsdOn) {
+            const Count t = static_cast<Count>(issued) + n;
+            issued = static_cast<int>(t % width);
+            return t / width;
+        }
+        const Addr bytes = Addr{1} << windowShift;
+        const Addr w0 = windowOf(addr);
+        const Count first =
+            std::min<Count>(n, bytes - (addr & (bytes - 1)));
+        Cycles c = 0;
+        Count t = first;
+        if (w0 == curWindow)
+            t += static_cast<Count>(issued);
+        else
+            c = 1;
+        c += t / width;
+        issued = static_cast<int>(t % width);
+        curWindow = w0;
+
+        const Count rest = n - first;
+        if (rest == 0)
+            return c;
+        const Count full = rest >> windowShift;
+        const Count tail = rest & (bytes - 1);
+        if (full != 0) {
+            c += full * (1 + bytes / width);
+            issued = static_cast<int>(bytes % width);
+        }
+        if (tail != 0) {
+            c += 1 + tail / width;
+            issued = static_cast<int>(tail % width);
+        }
+        curWindow = windowOf(addr + n - 1);
+        return c;
+    }
+
+    /**
+     * What onInst and onNopRun change: the current fetch window and
+     * the fill of the current decode group. The block engine saves
+     * it to take back a NOP batch it then refuses.
+     */
+    struct Cursor
+    {
+        Addr window;
+        int issued;
+
+        bool operator==(const Cursor &) const = default;
+    };
+
+    Cursor cursor() const { return {curWindow, issued}; }
+    void setCursor(const Cursor &c)
+    {
+        curWindow = c.window;
+        issued = c.issued;
     }
 
     /**

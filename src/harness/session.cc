@@ -343,34 +343,36 @@ ProgramCache::session(const HarnessConfig &cfg,
                       const MicroBenchmark &bench)
 {
     KeyParts parts = keyParts(cfg, bench);
-    std::string k = joinKey(parts);
-    auto it = index.find(k);
+    std::unique_ptr<Machine> machine;
+    auto it = index.find(parts.machine);
     if (it != index.end()) {
-        ++hitCount;
-        PCA_SPC_INC(ProgramCacheHits);
-        entries.splice(entries.begin(), entries, it->second);
-        return *entries.front().session;
+        if (it->second->programKey == parts.program) {
+            ++hitCount;
+            PCA_SPC_INC(ProgramCacheHits);
+            entries.splice(entries.begin(), entries, it->second);
+            return *entries.front().session;
+        }
+        // Same machine, another program: the new session takes over
+        // the booted machine and the entry.
+        machine = it->second->session->releaseMachine();
+        entries.erase(it->second);
+        index.erase(it);
+    } else if (entries.size() >= cap) {
+        // Evict before booting, so a miss never holds cap + 1
+        // machines. The victim's machine cannot fit: the index would
+        // have found it.
+        PCA_SPC_INC(MachineReuseRejectConfig);
+        index.erase(entries.back().machineKey);
+        entries.pop_back();
     }
 
     ++missCount;
     PCA_SPC_INC(ProgramCacheMisses);
-    // Evict before building, so a miss never holds cap + 1 machines;
-    // the victim's machine carries over when it is the same machine.
-    std::unique_ptr<Machine> machine;
-    if (entries.size() >= cap) {
-        Entry &victim = entries.back();
-        if (victim.machineKey == parts.machine)
-            machine = victim.session->releaseMachine();
-        else
-            PCA_SPC_INC(MachineReuseRejectConfig);
-        index.erase(victim.key);
-        entries.pop_back();
-    }
     auto session =
         std::make_unique<HarnessSession>(cfg, bench, std::move(machine));
-    entries.push_front(
-        {std::move(k), std::move(parts.machine), std::move(session)});
-    index[entries.front().key] = entries.begin();
+    entries.push_front({std::move(parts.machine),
+                        std::move(parts.program), std::move(session)});
+    index[entries.front().machineKey] = entries.begin();
     return *entries.front().session;
 }
 

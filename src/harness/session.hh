@@ -19,9 +19,9 @@
  * paper's two patched kernels, which ran thousands of measurement
  * processes each, a machine is booted once per machine configuration
  * and a new session only swaps in its own user program
- * (Machine::replaceUserBlock). ProgramCache memoizes sessions by
- * (configuration, benchmark) and hands an evicted session's machine
- * to the next session of the same machine configuration. Neither
+ * (Machine::replaceUserBlock). ProgramCache holds at most one
+ * session per machine configuration and builds a new program of that
+ * configuration on the cached session's machine. Neither
  * class is thread-safe: under the parallel study engine each worker
  * owns a private cache (points are partitioned, never split across
  * workers).
@@ -130,17 +130,22 @@ class HarnessSession
 };
 
 /**
- * LRU cache of HarnessSessions keyed by everything that shapes the
- * assembled program: the full HarnessConfig minus the seed, plus the
- * benchmark's cacheKey(). Capacity bounds the number of live
- * simulated machines: a miss at capacity evicts before it builds.
- * When the evicted session's machine key equals the new one's, the
- * new session is built on the evicted session's booted machine
- * instead of a fresh one. Eviction and recycling cannot change
- * results because cached, recycled and freshly built sessions are
+ * LRU cache of HarnessSessions, one per machine configuration: an
+ * entry is keyed by ProgramCache::keyParts().machine and holds the
+ * session of the last program (keyParts().program) run on that
+ * machine. A lookup hits when both parts match. A miss whose machine
+ * part is cached builds the new session on that entry's booted
+ * machine and replaces the entry; any other miss boots a machine,
+ * evicting the least recently used entry first when the cache is at
+ * capacity. Capacity therefore bounds machine configurations (and
+ * live simulated machines), not programs, and a sweep boots each
+ * machine configuration once as long as it revisits at most
+ * capacity of them. Recycling and eviction cannot change results
+ * because cached, recycled and freshly built sessions are
  * result-identical. Hits and misses feed the program_cache_hits /
- * program_cache_misses SPC counters; machine_reuses and
- * machine_reuse_reject_config say how each eviction went.
+ * program_cache_misses SPC counters; machine_reuses counts misses
+ * built on a cached machine, machine_reuse_reject_config evictions
+ * at capacity.
  */
 class ProgramCache
 {
@@ -150,7 +155,7 @@ class ProgramCache
     /**
      * The session for (cfg, bench), building it on a miss. The
      * reference stays valid until the next session() call (which may
-     * evict it).
+     * replace or evict it).
      */
     HarnessSession &session(const HarnessConfig &cfg,
                             const MicroBenchmark &bench);
@@ -183,13 +188,14 @@ class ProgramCache
   private:
     struct Entry
     {
-        std::string key;
         std::string machineKey;
+        std::string programKey;
         std::unique_ptr<HarnessSession> session;
     };
 
     std::size_t cap;
     std::list<Entry> entries; //!< most recently used first
+    /** Machine part of the key -> its (only) entry. */
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;

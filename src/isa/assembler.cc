@@ -285,8 +285,8 @@ Assembler &
 Assembler::nop(int n)
 {
     pca_assert(n >= 0);
-    for (int i = 0; i < n; ++i)
-        emit(bare(Opcode::Nop));
+    if (n > 0)
+        block.appendRun(bare(Opcode::Nop), n);
     return *this;
 }
 

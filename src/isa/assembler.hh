@@ -89,6 +89,8 @@ class Assembler
      * Emit @p count generic single-byte "work" nops representing
      * straight-line code whose only relevant property is its
      * instruction count and byte footprint (library internals).
+     * Like nop(n), one bulk append; the block engine retires such
+     * runs a cache line at a time.
      */
     Assembler &work(int count);
 

@@ -27,6 +27,17 @@ CodeBlock::append(Inst inst)
 }
 
 int
+CodeBlock::appendRun(Inst inst, int count)
+{
+    pca_assert(count > 0);
+    if (inst.size < 0)
+        inst.size = defaultSize(inst.op);
+    const int idx = append(inst);
+    insts.insert(insts.end(), static_cast<std::size_t>(count - 1), inst);
+    return idx;
+}
+
+int
 CodeBlock::newLabel()
 {
     labelTargets.push_back(-1);

@@ -31,6 +31,13 @@ class CodeBlock
     /** Append an instruction; returns its index. */
     int append(Inst inst);
 
+    /**
+     * Append @p count copies of @p inst in one insert; returns the
+     * first copy's index, to which pending labels bind (@p count
+     * must be positive).
+     */
+    int appendRun(Inst inst, int count);
+
     /** Create a new unbound label; returns its id. */
     int newLabel();
 

@@ -46,6 +46,11 @@ enum DecodedFlags : std::uint8_t
      * mode, PMU programming, or the current code block.
      */
     DiEscape = 1 << 3,
+    /**
+     * Single-byte Nop (work(n) filler): the block engine retires a
+     * run of these one icache line at a time (see nopEnd).
+     */
+    DiNop = 1 << 4,
 };
 
 /**
@@ -62,6 +67,13 @@ struct DecodedInst
     std::int32_t size = 0;
     /** Branches: block-local target index (-1 for non-branches). */
     std::int32_t targetIndex = -1;
+    /**
+     * DiNop instructions: exclusive end of the contiguous DiNop run
+     * starting here (the run's bytes are contiguous, one per Nop).
+     * 0 otherwise. Fills what was padding, so the record does not
+     * grow.
+     */
+    std::int32_t nopEnd = 0;
     std::int64_t imm = 0;
     Addr addr = 0;
     /** Link-resolved byte address of a branch's target. */

@@ -72,6 +72,11 @@ spcName(Spc c)
       case Spc::FfRejectIdiom: return "ff_reject_idiom";
       case Spc::FfRejectIrq: return "ff_reject_irq";
       case Spc::FfPeriodicIters: return "ff_periodic_iters";
+      case Spc::NopBatches: return "nop_batches";
+      case Spc::NopBatchInstrs: return "nop_batch_instrs";
+      case Spc::NopBatchRejectIrq: return "nop_batch_reject_irq";
+      case Spc::NopBatchRejectLimit:
+        return "nop_batch_reject_limit";
       case Spc::NumSpcs: break;
     }
     return "?";

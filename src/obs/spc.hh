@@ -72,6 +72,10 @@ enum class Spc : std::uint8_t
     FfRejectIdiom,     //!< loop back-edges refused: not a counted loop
     FfRejectIrq,       //!< loop back-edges refused: interrupt too close
     FfPeriodicIters,   //!< loop iterations applied in bulk with period >= 2
+    NopBatches,        //!< NOP runs the block engine retired in one batch
+    NopBatchInstrs,    //!< NOPs retired in those batches
+    NopBatchRejectIrq, //!< NOP batches refused: interrupt horizon inside
+    NopBatchRejectLimit, //!< NOP batches refused: dispatch limit inside
     NumSpcs,
 };
 

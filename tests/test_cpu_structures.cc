@@ -440,5 +440,99 @@ TEST(FrontEndTest, RedirectResetsState)
     EXPECT_GE(fe.onInst(0x2040, 3), 1u);
 }
 
+/** Front-end state a NOP run can start from. */
+enum class Entry
+{
+    Reset,        //!< power-on: no current window
+    SameWindow,   //!< fetch already in the run's first window
+    OtherWindow,  //!< fetch in the window before the run's first
+    Streaming,    //!< the loop-stream detector feeds the decoder
+};
+
+/**
+ * Put @p fe in state @p entry for a run starting at @p addr, with
+ * @p issued instructions in the current decode group.
+ */
+void
+prime(FrontEnd &fe, const MicroArch &arch, Entry entry, Addr addr,
+      int issued)
+{
+    fe.reset();
+    const auto window = static_cast<Addr>(arch.fetchBytes);
+    Addr at = addr;
+    switch (entry) {
+      case Entry::Reset:
+        break;
+      case Entry::SameWindow:
+        fe.redirect(addr);
+        break;
+      case Entry::OtherWindow:
+        at = addr - window;
+        fe.redirect(at);
+        break;
+      case Entry::Streaming:
+      {
+        // The same short backward branch taken twice engages the LSD.
+        const Addr line = static_cast<Addr>(arch.icacheLineBytes);
+        const Addr head = 0x2000 * line;
+        fe.onTakenBranch(head + 8, head + 10, head);
+        fe.onTakenBranch(head + 8, head + 10, head);
+        break;
+      }
+    }
+    for (int i = 0; i < issued; ++i)
+        fe.onInst(at, 1);
+}
+
+TEST(FrontEndTest, NopRunMatchesPerInstructionCharging)
+{
+    // onNopRun(addr, n) must charge exactly what n single-byte
+    // onInst calls charge and leave the same cursor behind: on every
+    // processor, streaming or not, from every offset in an icache
+    // line (so every offset in a fetch window), with every decode
+    // group fill, for runs that stay in a window or cross windows,
+    // lines and pages.
+    for (const Processor p : {Processor::PentiumD, Processor::Core2Duo,
+                              Processor::AthlonX2}) {
+        const MicroArch &arch = microArch(p);
+        std::vector<Entry> entries = {Entry::Reset, Entry::SameWindow,
+                                      Entry::OtherWindow};
+        if (arch.loopStreamDetector)
+            entries.push_back(Entry::Streaming);
+        const auto w = static_cast<Count>(arch.fetchBytes);
+        const auto line = static_cast<Count>(arch.icacheLineBytes);
+        const Count lengths[] = {0, 1, 2, 3, 4, 5, w - 1, w, w + 1,
+                                 2 * w + 3, line - 1, line, line + 1,
+                                 3 * line + 7, 4096 + 17};
+        // The line before a page boundary: long runs cross the page.
+        const Addr base = 0x08049000 - line;
+        for (const Entry entry : entries)
+            for (Addr off = 0; off < line; ++off)
+                for (int issued = 0; issued < arch.decodeWidth; ++issued)
+                    for (const Count n : lengths) {
+                        const Addr addr = base + off;
+                        FrontEnd bulk(arch), each(arch);
+                        prime(bulk, arch, entry, addr, issued);
+                        prime(each, arch, entry, addr, issued);
+                        ASSERT_EQ(bulk.lsdActive(),
+                                  entry == Entry::Streaming);
+
+                        Cycles want = 0;
+                        for (Count i = 0; i < n; ++i)
+                            want += each.onInst(addr + i, 1);
+                        const Cycles got = bulk.onNopRun(addr, n);
+                        ASSERT_EQ(got, want)
+                            << processorCode(p) << " entry "
+                            << static_cast<int>(entry) << " off " << off
+                            << " issued " << issued << " n " << n;
+                        ASSERT_EQ(bulk.cursor(), each.cursor())
+                            << processorCode(p) << " entry "
+                            << static_cast<int>(entry) << " off " << off
+                            << " issued " << issued << " n " << n;
+                        ASSERT_EQ(bulk.lsdActive(), each.lsdActive());
+                    }
+    }
+}
+
 } // namespace
 } // namespace pca::cpu

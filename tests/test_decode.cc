@@ -23,7 +23,9 @@
 #include "harness/microbench.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
+#include "kernel/kernel.hh"
 #include "obs/spc.hh"
+#include "support/random.hh"
 
 using namespace pca;
 using namespace pca::harness;
@@ -89,6 +91,39 @@ TEST(DecodedBlock, RunEndsStopAtEscapes)
     EXPECT_EQ(db.runEnd(4), 4);
 }
 
+TEST(DecodedBlock, NopRunsEndAtTheNextOtherOpcode)
+{
+    // work(n) appends its run in one insert: a pending label binds to
+    // the run's first NOP, and every NOP knows where its run ends.
+    isa::Assembler a("main");
+    a.movImm(isa::Reg::Eax, 0);
+    const int head = a.label();
+    a.work(5).addImm(isa::Reg::Eax, 1).nop(3).nop(2).jmp(head).halt();
+    isa::Program p;
+    p.add(a.take());
+    p.link2(/*user_base=*/0x1000, /*kernel_base=*/0x100000);
+    const isa::DecodedBlock &db = p.decoded(0);
+    ASSERT_EQ(db.size(), 14u);
+    EXPECT_EQ(db.inst(12).targetIndex, 1);
+
+    for (std::size_t i = 0; i < db.size(); ++i) {
+        const bool nop = (i >= 1 && i <= 5) || (i >= 7 && i <= 11);
+        EXPECT_EQ((db.inst(i).flags & isa::DiNop) != 0, nop) << i;
+        if (nop) {
+            EXPECT_NE(db.inst(i).flags & isa::DiFfSafe, 0) << i;
+            EXPECT_FALSE(db.inst(i).escape()) << i;
+            EXPECT_EQ(db.inst(i).addr, db.inst(i - 1).addr +
+                                           static_cast<Addr>(
+                                               db.inst(i - 1).size))
+                << i;
+        }
+    }
+    for (std::size_t i = 1; i <= 5; ++i)
+        EXPECT_EQ(db.inst(i).nopEnd, 6) << i;
+    for (std::size_t i = 7; i <= 11; ++i)
+        EXPECT_EQ(db.inst(i).nopEnd, 12) << i;
+}
+
 // ---------------------------------------------------------------- //
 // Core-level equality across loop shapes
 // ---------------------------------------------------------------- //
@@ -102,6 +137,8 @@ struct Shape
     cpu::Processor proc = cpu::Processor::PentiumD;
     bool ff = true;
     bool interrupts = true;
+    /** Cycles between timer ticks; 0 keeps the processor's HZ. */
+    Cycles timerPeriod = 0;
 };
 
 MachineConfig
@@ -113,6 +150,7 @@ configFor(bool decode, const Shape &shape)
     cfg.interruptsEnabled = shape.interrupts;
     cfg.fastForward = shape.ff;
     cfg.decodeCache = decode;
+    cfg.timerPeriodOverride = shape.timerPeriod;
     return cfg;
 }
 
@@ -132,14 +170,18 @@ runDigest(Machine &m)
     return os.str();
 }
 
-/** Boot a machine with the user blocks @p emit adds; digest its run. */
+/**
+ * Boot a machine with the user blocks @p emit adds, placed
+ * @p text_offset bytes into the user text; digest its run.
+ */
 template <typename Emit>
 std::string
-shapeDigest(bool decode, const Shape &shape, Emit &&emit)
+shapeDigest(bool decode, const Shape &shape, Emit &&emit,
+            Addr text_offset = 0)
 {
     Machine m(configFor(decode, shape));
     emit(m);
-    m.finalize();
+    m.finalize(text_offset);
     m.core().allowUserRdpmc(true); // the time-read shapes use rdpmc
     return runDigest(m);
 }
@@ -148,12 +190,13 @@ shapeDigest(bool decode, const Shape &shape, Emit &&emit)
 template <typename Emit>
 void
 expectDecodeInvisible(const Shape &shape, Emit &&emit,
-                      const std::string &what)
+                      const std::string &what, Addr text_offset = 0)
 {
-    EXPECT_EQ(shapeDigest(true, shape, emit),
-              shapeDigest(false, shape, emit))
+    EXPECT_EQ(shapeDigest(true, shape, emit, text_offset),
+              shapeDigest(false, shape, emit, text_offset))
         << what << " proc=" << cpu::processorCode(shape.proc)
-        << " ff=" << shape.ff << " interrupts=" << shape.interrupts;
+        << " ff=" << shape.ff << " interrupts=" << shape.interrupts
+        << " timer=" << shape.timerPeriod << " offset=" << text_offset;
 }
 
 /** Counted loop (movImm; add/cmp/jne; halt). */
@@ -270,6 +313,107 @@ nestedLoop(Count outer, Count inner, std::int64_t stride_step)
 
 constexpr cpu::Processor bothProcs[] = {cpu::Processor::PentiumD,
                                         cpu::Processor::AthlonX2};
+constexpr cpu::Processor allProcs[] = {cpu::Processor::PentiumD,
+                                       cpu::Processor::Core2Duo,
+                                       cpu::Processor::AthlonX2};
+
+/** Counted loop whose body is @p nops work() filler. */
+auto
+nopLoop(Count iters, int nops)
+{
+    return [=](Machine &m) {
+        isa::Assembler a("main");
+        a.movImm(isa::Reg::Esi, 0);
+        int loop = a.label();
+        a.work(nops)
+            .addImm(isa::Reg::Esi, 1)
+            .cmpImm(isa::Reg::Esi, static_cast<std::int64_t>(iters))
+            .jne(loop)
+            .halt();
+        m.addUserBlock(a.take());
+    };
+}
+
+/** One straight NOP run of @p nops behind a 5-byte mov. */
+auto
+nopRun(int nops)
+{
+    return [=](Machine &m) {
+        isa::Assembler a("main");
+        a.movImm(isa::Reg::Eax, 1).work(nops).halt();
+        m.addUserBlock(a.take());
+    };
+}
+
+/**
+ * A random program for the block-engine fuzz: NOP runs of random
+ * length (most within a line, some across many) mixed with ALU ops,
+ * memory ops, getpid syscalls and counted loops whose bodies hold NOP
+ * runs of their own (short ones fit a line, so Core2's loop-stream
+ * detector engages and stays on after the loop exits). Mixed opcode
+ * sizes shift every later run's alignment.
+ */
+auto
+randomProgram(std::uint64_t seed)
+{
+    return [seed](Machine &m) {
+        using isa::Reg;
+        Rng rng(seed);
+        isa::Assembler a("main");
+        a.movImm(Reg::Ecx, 0x400000);
+        auto nops = [&] {
+            a.work(static_cast<int>(
+                rng.nextBool(0.2) ? 64 + rng.nextBelow(2000)
+                                  : 1 + rng.nextBelow(40)));
+        };
+        auto alu = [&] {
+            const auto imm = static_cast<std::int64_t>(rng.nextBelow(100));
+            switch (rng.nextBelow(4)) {
+              case 0: a.addImm(Reg::Ebx, imm); break;
+              case 1: a.xorReg(Reg::Edx, Reg::Ebx); break;
+              case 2: a.movImm(Reg::Edi, imm).shlImm(Reg::Edi, 2); break;
+              default: a.cmpImm(Reg::Ebx, imm).cpuid(); break;
+            }
+        };
+        const auto segments = 4 + rng.nextBelow(12);
+        for (std::uint64_t i = 0; i < segments; ++i) {
+            switch (rng.nextBelow(5)) {
+              case 0:
+                nops();
+                break;
+              case 1:
+                alu();
+                break;
+              case 2:
+              {
+                a.movImm(Reg::Esi, 0);
+                const int loop = a.label();
+                nops();
+                if (rng.nextBool(0.5))
+                    alu();
+                a.addImm(Reg::Esi, 1)
+                    .cmpImm(Reg::Esi,
+                            static_cast<std::int64_t>(
+                                1 + rng.nextBelow(40)))
+                    .jne(loop);
+                break;
+              }
+              case 3:
+                a.movImm(Reg::Eax, kernel::sysno::getpid).syscall();
+                break;
+              default:
+                a.store(Reg::Ebx, Reg::Ecx,
+                        static_cast<std::int64_t>(8 * rng.nextBelow(64)))
+                    .load(Reg::Edx, Reg::Ecx,
+                          static_cast<std::int64_t>(
+                              8 * rng.nextBelow(64)));
+                break;
+            }
+        }
+        a.halt();
+        m.addUserBlock(a.take());
+    };
+}
 
 } // namespace
 
@@ -322,12 +466,100 @@ TEST(DecodeCacheLoops, NestedLoopsIdentical)
 }
 
 // ---------------------------------------------------------------- //
-// TraceTier* suites: named for the superblock tier that once ran
-// above the block engine. They keep the loop shapes that tier was
-// tested with and now check the block engine against step() on them.
+// NOP batches: the block engine retires work() filler one icache line
+// at a time, and must refuse exactly the batches that would pass an
+// interrupt poll or its dispatch limit.
 // ---------------------------------------------------------------- //
 
-TEST(TraceTierCore, InterruptDeliveryIdentical)
+TEST(NopBatch, InterruptInsideARunIdentical)
+{
+    // Frequent timer ticks over a loop that is almost all filler:
+    // the horizon keeps landing inside a line of NOPs, user and
+    // kernel handlers alike.
+    for (const auto proc : allProcs)
+        for (const bool ff : {false, true})
+            expectDecodeInvisible(Shape{proc, ff, true, 3001},
+                                  nopLoop(300, 700), "NOP loop");
+
+    // The per-reason counters, on one configuration: batches taken,
+    // and some refused at the horizon, none at the dispatch limit
+    // (ticks end every dispatch first). step() takes no batch.
+    using obs::Spc;
+    const Shape shape{cpu::Processor::Core2Duo, false, true, 3001};
+    obs::spcReset();
+    obs::spcAttach("nop_batches,nop_batch_instrs,nop_batch_reject_irq,"
+                   "nop_batch_reject_limit,interrupts_timer");
+    shapeDigest(true, shape, nopLoop(300, 700));
+    EXPECT_GT(obs::spcValue(Spc::InterruptsTimer), 10u);
+    EXPECT_GT(obs::spcValue(Spc::NopBatches), 3000u);
+    EXPECT_GT(obs::spcValue(Spc::NopBatchInstrs),
+              obs::spcValue(Spc::NopBatches));
+    EXPECT_GT(obs::spcValue(Spc::NopBatchRejectIrq), 0u);
+    EXPECT_EQ(obs::spcValue(Spc::NopBatchRejectLimit), 0u);
+
+    obs::spcReset();
+    obs::spcAttach("nop_batches,nop_batch_instrs,nop_batch_reject_irq");
+    shapeDigest(false, shape, nopLoop(300, 700));
+    EXPECT_EQ(obs::spcValue(Spc::NopBatches), 0u);
+    EXPECT_EQ(obs::spcValue(Spc::NopBatchInstrs), 0u);
+    EXPECT_EQ(obs::spcValue(Spc::NopBatchRejectIrq), 0u);
+    obs::spcReset();
+}
+
+TEST(NopBatch, ChunkBoundaryInsideARunIdentical)
+{
+    // With interrupts off one dispatch runs until its 65536-step
+    // chunk: behind the 5-byte mov, the chunk boundary falls
+    // mid-line in the filler at every offset tried.
+    for (const auto proc : allProcs)
+        for (const Addr offset : {0, 7, 59, 63})
+            expectDecodeInvisible(Shape{proc, true, false},
+                                  nopRun(150000), "NOP run", offset);
+
+    // At text offset 59 the NOP at each of the two chunk boundaries
+    // is the last of its line: a batch over the limit by one NOP must
+    // be refused as well.
+    using obs::Spc;
+    obs::spcReset();
+    obs::spcAttach("nop_batches,nop_batch_instrs,nop_batch_reject_irq,"
+                   "nop_batch_reject_limit");
+    shapeDigest(true, Shape{cpu::Processor::AthlonX2, true, false},
+                nopRun(150000), 59);
+    EXPECT_EQ(obs::spcValue(Spc::NopBatchRejectLimit), 2u);
+    EXPECT_EQ(obs::spcValue(Spc::NopBatchRejectIrq), 0u);
+    EXPECT_GT(obs::spcValue(Spc::NopBatchInstrs), 149000u);
+    obs::spcReset();
+}
+
+TEST(NopBatch, RandomProgramsMatchStep)
+{
+    // Seeded random programs (see randomProgram) on every processor,
+    // with fast-forward on and off, at random text offsets and timer
+    // periods short enough that ticks land throughout. The counters
+    // show the programs reach the batch's edges.
+    using obs::Spc;
+    obs::spcReset();
+    obs::spcAttach("nop_batches,nop_batch_reject_irq,interrupts_timer");
+    for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+        Rng rng(mixSeed(seed, 0x4e4f50));
+        const Shape shape{allProcs[seed % 3], (seed / 3) % 2 == 0, true,
+                          5000 + rng.nextBelow(20000)};
+        expectDecodeInvisible(shape, randomProgram(seed),
+                              "seed " + std::to_string(seed),
+                              rng.nextBelow(64));
+    }
+    EXPECT_GT(obs::spcValue(Spc::NopBatches), 0u);
+    EXPECT_GT(obs::spcValue(Spc::NopBatchRejectIrq), 0u);
+    EXPECT_GT(obs::spcValue(Spc::InterruptsTimer), 0u);
+    obs::spcReset();
+}
+
+// ---------------------------------------------------------------- //
+// Loop shapes once used to test the superblock tier that ran above
+// the block engine; they now check the block engine against step().
+// ---------------------------------------------------------------- //
+
+TEST(BlockEngineCore, InterruptDeliveryIdentical)
 {
     // Long enough that many timer interrupts land mid-loop, on both
     // processors, with loop fast-forward off (every iteration runs
@@ -339,7 +571,7 @@ TEST(TraceTierCore, InterruptDeliveryIdentical)
                                   countedLoop(200000), "counted loop");
 }
 
-TEST(TraceTierCore, ReturnStackIdenticalUnderInterrupts)
+TEST(BlockEngineCore, ReturnStackIdenticalUnderInterrupts)
 {
     // Timer interrupts deliver between dispatches while call/ret keep
     // the core's return-address stack live and every iteration reads
@@ -352,7 +584,7 @@ TEST(TraceTierCore, ReturnStackIdenticalUnderInterrupts)
                                   "call+rdtsc loop");
 }
 
-TEST(TraceTierCore, EscapeCountersTellTiersApart)
+TEST(BlockEngineCore, EscapeCountersTellTiersApart)
 {
     // The escape SPCs tell the two execution paths apart: the block
     // engine falls back to step() once per call, ret and time read;
@@ -377,7 +609,7 @@ TEST(TraceTierCore, EscapeCountersTellTiersApart)
     obs::spcReset();
 }
 
-TEST(TraceTierCore, EscapesFoldAwayAndRebootReforms)
+TEST(BlockEngineCore, EscapesFoldAwayAndRebootReforms)
 {
     // A register-only warm-up loop runs inside decoded blocks with no
     // escape; the call+rdtsc loop after it escapes on every call, ret

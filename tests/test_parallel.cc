@@ -534,7 +534,7 @@ TEST(ProgramCache, HitsAndMissesAndLru)
     HarnessConfig a;
     a.iface = Interface::Pc;
     HarnessConfig b = a;
-    b.optLevel = 0;
+    b.iface = Interface::Pm;
 
     ProgramCache cache(2);
     EXPECT_NE(ProgramCache::key(a, bench), ProgramCache::key(b, bench));
@@ -545,6 +545,16 @@ TEST(ProgramCache, HitsAndMissesAndLru)
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.size(), 2u);
+
+    // One entry per machine configuration: another program on a's
+    // machine replaces a's session instead of taking a slot.
+    HarnessConfig aO0 = a;
+    aO0.optLevel = 0;
+    cache.session(aO0, bench);
+    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(cache.size(), 2u);
+    cache.session(b, bench);
+    EXPECT_EQ(cache.hits(), 2u);
 
     // Capacity 1: alternating configs always evict each other...
     ProgramCache tiny(1);
@@ -598,18 +608,71 @@ class CacheSizeProbe : public MicroBenchmark
 TEST(ProgramCache, AMissAtCapacityNeverExceedsIt)
 {
     // A session is built while its cache holds the others: at
-    // capacity, the victim must already be gone.
-    HarnessConfig cfg;
+    // capacity, the victim must already be gone. Six machine
+    // configurations (the preemption probability is part of the
+    // machine), then six programs on the last one's machine, whose
+    // cached session must be gone too.
     for (std::size_t cap : {1u, 2u, 3u}) {
         ProgramCache cache(cap);
         std::vector<std::size_t> sizes;
-        for (int i = 0; i < 6; ++i)
+        HarnessConfig cfg;
+        for (int i = 0; i < 6; ++i) {
+            cfg.preemptProb = 0.01 * (i + 1);
             cache.session(cfg, CacheSizeProbe(cache, i, sizes));
+        }
         ASSERT_EQ(sizes.size(), 6u);
         for (std::size_t live : sizes)
             EXPECT_LE(live + 1, cap);
         EXPECT_EQ(cache.size(), cap);
+
+        sizes.clear();
+        for (int i = 6; i < 12; ++i)
+            cache.session(cfg, CacheSizeProbe(cache, i, sizes));
+        for (std::size_t live : sizes)
+            EXPECT_EQ(live + 1, cap);
+        EXPECT_EQ(cache.size(), cap);
     }
+}
+
+TEST(ProgramCache, BootsEachMachineConfigurationOnce)
+{
+    // A sweep that takes its machine configurations one after the
+    // other, several programs each (as the study engine's points
+    // come), boots each configuration once at any capacity: every
+    // miss after the first of a configuration recycles its machine.
+    using obs::Spc;
+    const Interface ifaces[] = {Interface::Pc, Interface::Pm,
+                                Interface::PLpc};
+    for (std::size_t cap : {1u, 2u, 32u}) {
+        obs::spcReset();
+        obs::spcAttach("machine_boots,machine_reuses");
+        ProgramCache cache(cap);
+        for (const Interface iface : ifaces) {
+            HarnessConfig cfg;
+            cfg.iface = iface;
+            for (int opt = 0; opt < 3; ++opt) {
+                cfg.optLevel = opt;
+                cache.session(cfg, NullBench{});
+                cache.session(cfg, LoopBench{100});
+            }
+        }
+        EXPECT_EQ(obs::spcValue(Spc::MachineBoots), 3u) << "cap " << cap;
+        EXPECT_EQ(obs::spcValue(Spc::MachineReuses), 15u)
+            << "cap " << cap;
+        EXPECT_EQ(cache.size(), std::min<std::size_t>(cap, 3));
+
+        // With room for every configuration, coming back to one
+        // boots nothing either.
+        if (cap >= 3) {
+            for (const Interface iface : ifaces) {
+                HarnessConfig cfg;
+                cfg.iface = iface;
+                cache.session(cfg, NullBench{});
+            }
+            EXPECT_EQ(obs::spcValue(Spc::MachineBoots), 3u);
+        }
+    }
+    obs::spcReset();
 }
 
 TEST(ProgramCache, RecyclesAnEvictedMachineOfTheSameConfig)
