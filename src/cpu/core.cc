@@ -72,7 +72,7 @@ Core::jumpTo(const std::string &symbol)
     pca_assert(program);
     pc = program->entry(symbol);
     pcRedirected = true;
-    frontEnd.redirect(program->inst(pc).addr);
+    frontEnd.redirect(program->addr(pc));
 }
 
 Count
@@ -126,26 +126,26 @@ Core::dataAccess(Addr addr)
 }
 
 void
-Core::fetchCosts(const Inst &in)
+Core::fetchCosts(Addr addr, int size)
 {
-    if (!icache.access(in.addr)) {
+    if (!icache.access(addr)) {
         chargeCycles(static_cast<Cycles>(archRef.icacheMissPenalty));
         countEvent(EventType::IcacheMiss);
         // Instruction fills also come through the unified L2.
-        if (!l2.access(in.addr)) {
+        if (!l2.access(addr)) {
             chargeCycles(static_cast<Cycles>(archRef.l2MissPenalty));
             countEvent(EventType::L2Miss);
         }
     }
-    if (!itlb.access(in.addr)) {
+    if (!itlb.access(addr)) {
         chargeCycles(static_cast<Cycles>(archRef.itlbMissPenalty));
         countEvent(EventType::ItlbMiss);
     }
     // Keep the block engine's same-line fast path honest: these must
     // always name the most recently accessed icache line / iTLB page.
-    lastFetchLine = in.addr >> icLineShift;
-    lastFetchPage = in.addr >> itlbPageShift;
-    chargeCycles(frontEnd.onInst(in.addr, in.size));
+    lastFetchLine = addr >> icLineShift;
+    lastFetchPage = addr >> itlbPageShift;
+    chargeCycles(frontEnd.onInst(addr, size));
 }
 
 void
@@ -189,8 +189,14 @@ Core::run(CodePtr entry, Count max_instr)
             ++steps;
         }
         if (steps > max_instr)
-            pca_panic("runaway program: executed ", steps,
-                      " steps without halting");
+            // Not transient: a program that cannot finish (say, under
+            // a timer period shorter than the tick handler) fails the
+            // same way on every attempt. The message names the limit,
+            // not the step count, which differs between the engines.
+            throw StatusError(Status(
+                StatusCode::ResourceExhausted,
+                "runaway program: no halt within " +
+                    std::to_string(max_instr) + " steps"));
         if (deadlineInstrs != 0 || deadlineCycles != 0) {
             // The watchdog. Checked only at dispatch boundaries
             // (the block engine caps a dispatch at one chunk, so a
@@ -232,8 +238,11 @@ Core::step()
     if (in.op == Opcode::HostOp) {
         // Architecturally free data plumbing.
         pcRedirected = false;
-        pca_assert(in.host);
-        in.host(*this);
+        const isa::HostFn &fn =
+            program->block(pc.block).hostFn(
+                static_cast<std::size_t>(pc.index));
+        pca_assert(fn);
+        fn(*this);
         if (!pcRedirected)
             ++pc.index;
         poisonSinceBackward = true;
@@ -243,7 +252,10 @@ Core::step()
     const Mode mode_at_fetch = curMode;
     const int prev_index = pc.index;
     const Cycles cycles_at_fetch = cycleCount;
-    fetchCosts(in);
+    // One instruction of the slot: the one pc.offset names.
+    const Addr at = in.addr + static_cast<Addr>(pc.offset) *
+                                  static_cast<Addr>(in.size);
+    fetchCosts(at, in.size);
 
     pcRedirected = false;
     bool taken_backward = false;
@@ -257,11 +269,14 @@ Core::step()
     if (mode_at_fetch == Mode::Kernel)
         PCA_SPC_INC(KernelInstrs);
     else if (prof != nullptr)
-        prof->onUserRetire(in.addr, cycleCount - cycles_at_fetch);
+        prof->onUserRetire(at, cycleCount - cycles_at_fetch);
 
-    if (!pcRedirected)
-        ++pc.index;
-    else if (isCondBranch(in.op) && in.targetIndex >= 0 &&
+    if (!pcRedirected) {
+        if (++pc.offset == in.count) {
+            pc.offset = 0;
+            ++pc.index;
+        }
+    } else if (isCondBranch(in.op) && in.targetIndex >= 0 &&
              in.targetIndex < prev_index)
         taken_backward = true;
 
@@ -366,6 +381,10 @@ Core::stepDecodedBlock()
         step();
         return 1;
     }
+    // Offset within the slot: nonzero only inside a NOP run, whose
+    // NOPs are one byte each, so NOP off of slot idx sits at
+    // addr + off.
+    auto off = static_cast<std::size_t>(pc.offset);
 
     const Mode mode = curMode;
     const auto mi = static_cast<std::size_t>(mode);
@@ -375,17 +394,10 @@ Core::stepDecodedBlock()
     auto run_end = static_cast<std::size_t>(db.runEnd(idx));
 
     // Cap one dispatch so run()'s runaway guard still triggers on
-    // programs that never escape (a Halt-less inline loop).
+    // programs that never escape (a Halt-less inline loop). The
+    // dispatch breaks when the step count reaches it or the slot
+    // index reaches run_end.
     constexpr Count chunk = 65536;
-
-    // Within a straight-line segment idx and the step count advance
-    // in lockstep, so the chunk budget folds into one precomputed
-    // index bound: break when idx reaches min(run_end, budget left).
-    auto segment_limit = [&](std::size_t at, Count used,
-                             std::size_t end) {
-        const auto left = static_cast<std::size_t>(chunk - used);
-        return end - at < left ? end : at + left;
-    };
 
     Count retired = 0;  //!< batched, not yet flushed
     Count brRetired = 0; //!< batched branch retires
@@ -436,13 +448,13 @@ Core::stepDecodedBlock()
     };
 
     const isa::DecodedInst *code = db.data();
-    std::size_t limit = segment_limit(idx, total, run_end);
-    // NOPs before this index take the per-instruction path: the batch
-    // covering them was refused.
-    std::size_t plain_until = 0;
+    // Cleared when a NOP batch is refused: the dispatch then ends
+    // inside the refused batch (see below), stepping its NOPs.
+    bool batching = true;
     const auto line_bytes = static_cast<std::size_t>(1) << icLineShift;
     for (;;) {
         const isa::DecodedInst &di = code[idx];
+        const Addr at = di.addr + off;
 
         // Fetch. Consecutive fetches within one icache line / iTLB
         // page are guaranteed hits on an already-MRU entry, so the
@@ -450,21 +462,21 @@ Core::stepDecodedBlock()
         // any future victim choice, miss, or cycle. A page change
         // implies a line change (lines subdivide pages), so the page
         // check only needs to run when the line changed.
-        const Addr line = di.addr >> icLineShift;
+        const Addr line = at >> icLineShift;
         if (line != fetchLine) {
             fetchLine = line;
-            if (!icache.access(di.addr)) {
+            if (!icache.access(at)) {
                 pend += static_cast<Cycles>(archRef.icacheMissPenalty);
                 countEvent(EventType::IcacheMiss);
-                if (!l2.access(di.addr)) {
+                if (!l2.access(at)) {
                     pend += static_cast<Cycles>(archRef.l2MissPenalty);
                     countEvent(EventType::L2Miss);
                 }
             }
-            const Addr page = di.addr >> itlbPageShift;
+            const Addr page = at >> itlbPageShift;
             if (page != fetchPage) {
                 fetchPage = page;
-                if (!itlb.access(di.addr)) {
+                if (!itlb.access(at)) {
                     pend +=
                         static_cast<Cycles>(archRef.itlbMissPenalty);
                     countEvent(EventType::ItlbMiss);
@@ -472,41 +484,62 @@ Core::stepDecodedBlock()
             }
         }
 
-        // NOP batch: retire the single-byte NOPs left in this icache
-        // line at once. Their fetch is the line access just made, the
-        // front end charges them in closed form, and they change no
-        // other state. Per-instruction stepping would break after the
-        // first of them to reach the interrupt horizon or the limit;
-        // pend only grows, so a batch that ends below the horizon and
-        // within the limit passes no break point, and one that does
-        // not is refused and stepped instead.
-        if ((di.flags & isa::DiNop) != 0 && idx >= plain_until) {
-            const std::size_t m = std::min(
-                static_cast<std::size_t>(di.nopEnd) - idx,
-                line_bytes - (di.addr & (line_bytes - 1)));
-            if (idx + m > limit) {
-                PCA_SPC_INC(NopBatchRejectLimit);
-                plain_until = idx + m;
-            } else {
-                const FrontEnd::Cursor undo = frontEnd.cursor();
-                const Cycles c = frontEnd.onNopRun(di.addr, m);
-                if (check_irq && cycleCount + pend + c >= irq_due) {
-                    frontEnd.setCursor(undo);
-                    PCA_SPC_INC(NopBatchRejectIrq);
-                    plain_until = idx + m;
+        if ((di.flags & isa::DiNop) != 0) {
+            const auto count = static_cast<std::size_t>(di.count);
+            // NOP batch: retire the slot's NOPs left in this icache
+            // line at once. Their fetch is the line access just made,
+            // the front end charges them in closed form, and they
+            // change no other state. Per-instruction stepping would
+            // break after the first of them to reach the interrupt
+            // horizon or the chunk; pend only grows, so a batch that
+            // ends below the horizon and within the chunk passes no
+            // break point, and one that does not is refused and
+            // stepped instead — and the dispatch then ends inside it.
+            if (batching) {
+                const std::size_t m = std::min(
+                    count - off, line_bytes - (at & (line_bytes - 1)));
+                if (total + m > chunk) {
+                    PCA_SPC_INC(NopBatchRejectLimit);
+                    batching = false;
                 } else {
-                    PCA_SPC_INC(NopBatches);
-                    PCA_SPC_ADD(NopBatchInstrs, m);
-                    pend += c;
-                    retired += m;
-                    total += m;
-                    idx += m;
-                    if (idx >= limit)
-                        break;
-                    continue;
+                    const FrontEnd::Cursor undo = frontEnd.cursor();
+                    const Cycles c = frontEnd.onNopRun(at, m);
+                    if (check_irq && cycleCount + pend + c >= irq_due) {
+                        frontEnd.setCursor(undo);
+                        PCA_SPC_INC(NopBatchRejectIrq);
+                        batching = false;
+                    } else {
+                        PCA_SPC_INC(NopBatches);
+                        PCA_SPC_ADD(NopBatchInstrs, m);
+                        pend += c;
+                        retired += m;
+                        total += m;
+                        off += m;
+                        if (off == count) {
+                            off = 0;
+                            if (++idx >= run_end)
+                                break;
+                        }
+                        if (total >= chunk)
+                            break;
+                        continue;
+                    }
                 }
             }
+            // One NOP of the run.
+            pend += frontEnd.onInst(at, 1);
+            ++retired;
+            ++total;
+            if (++off == count) {
+                off = 0;
+                ++idx;
+            }
+            if ((check_irq && cycleCount + pend >= irq_due) ||
+                idx >= run_end || total >= chunk)
+                break;
+            continue;
         }
+
         pend += frontEnd.onInst(di.addr, di.size);
 
         bool taken = false;
@@ -612,7 +645,7 @@ Core::stepDecodedBlock()
             break;
           }
 
-          case Opcode::Nop:
+          case Opcode::Nop: // multi-byte: single-byte NOPs batch above
             break;
           case Opcode::Cpuid:
             pend += static_cast<Cycles>(archRef.cpuidCycles);
@@ -637,6 +670,7 @@ Core::stepDecodedBlock()
                 flush();
                 const auto bidx = static_cast<int>(idx);
                 pc.index = di.targetIndex;
+                pc.offset = 0;
                 const std::uint64_t key =
                     (static_cast<std::uint64_t>(pc.block) << 32) |
                     static_cast<std::uint64_t>(bidx);
@@ -650,7 +684,6 @@ Core::stepDecodedBlock()
             if ((check_irq && cycleCount + pend >= irq_due) ||
                 total >= chunk)
                 break;
-            limit = segment_limit(idx, total, run_end);
             continue;
         }
 
@@ -659,11 +692,12 @@ Core::stepDecodedBlock()
         poison |= (di.flags & isa::DiFfSafe) == 0;
         ++idx;
         if ((check_irq && cycleCount + pend >= irq_due) ||
-            idx >= limit)
+            idx >= run_end || total >= chunk)
             break;
     }
     flush();
     pc.index = static_cast<int>(idx);
+    pc.offset = static_cast<int>(off);
     return total;
 }
 
@@ -776,12 +810,17 @@ Core::execute(const Inst &in)
 
       case Opcode::Call:
       {
+        if (in.callee < 0)
+            pca_panic("no block named '",
+                      program->block(pc.block).calleeName(
+                          static_cast<std::size_t>(pc.index)),
+                      "'");
         predictor.noteUncond(in.addr);
         countEvent(EventType::BrInstRetired);
         callStack.push_back(CodePtr{pc.block, pc.index + 1});
-        pc = program->entry(in.callee);
+        pc = CodePtr{in.callee, 0};
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(program->addr(pc));
         break;
       }
       case Opcode::Ret:
@@ -793,7 +832,7 @@ Core::execute(const Inst &in)
         pc = callStack.back();
         callStack.pop_back();
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(program->addr(pc));
         break;
       }
 
@@ -839,7 +878,7 @@ Core::execute(const Inst &in)
         chargeCycles(static_cast<Cycles>(archRef.syscallEntryCycles));
         pc = syscallEntry;
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(program->addr(pc));
         break;
       case Opcode::Iret:
       {
@@ -858,7 +897,7 @@ Core::execute(const Inst &in)
         lessFlag = saved.lessFlag;
         pc = saved.pc;
         pcRedirected = true;
-        frontEnd.redirect(program->inst(pc).addr);
+        frontEnd.redirect(program->addr(pc));
         break;
       }
 
@@ -882,7 +921,7 @@ Core::execute(const Inst &in)
 void
 Core::deliverInterrupt(int vector)
 {
-    interruptedAddr = program->inst(pc).addr;
+    interruptedAddr = program->addr(pc);
     trapStack.push_back(
         {pc, curMode, true, zeroFlag, lessFlag, pmuUnit.attrClass()});
     curMode = Mode::Kernel;
@@ -903,7 +942,7 @@ Core::deliverInterrupt(int vector)
     chargeCycles(static_cast<Cycles>(archRef.interruptEntryCycles));
     pca_assert(interruptEntry.valid());
     pc = interruptEntry;
-    frontEnd.redirect(program->inst(pc).addr);
+    frontEnd.redirect(program->addr(pc));
     poisonSinceBackward = true;
 }
 
@@ -1167,9 +1206,8 @@ Core::callChainAddrs() const
         // fall back to the call itself.
         const isa::CodeBlock &blk = program->block(ret.block);
         const std::size_t idx = static_cast<std::size_t>(ret.index);
-        out.push_back(idx < blk.size()
-                          ? blk.inst(idx).addr
-                          : blk.inst(blk.size() - 1).addr);
+        out.push_back(idx < blk.size() ? program->addr(ret)
+                                       : blk.inst(blk.size() - 1).addr);
     }
     return out;
 }

@@ -239,7 +239,8 @@ class Core : public isa::CpuContext
      * Execute from @p entry until a Halt instruction retires.
      *
      * @param entry first instruction
-     * @param max_instr runaway guard; panics when exceeded
+     * @param max_instr runaway guard: throws
+     *        StatusError(ResourceExhausted) once exceeded
      */
     RunResult run(isa::CodePtr entry,
                   Count max_instr = 500'000'000ULL);
@@ -324,7 +325,7 @@ class Core : public isa::CpuContext
     void deliverInterrupt(int vector);
     void chargeCycles(Cycles c);
     void countEvent(EventType ev, Count n = 1);
-    void fetchCosts(const isa::Inst &in);
+    void fetchCosts(Addr addr, int size);
     void doTakenBranch(const isa::Inst &in, isa::CodePtr target);
     void dataAccess(Addr addr);
     void maybeFastForwardKeyed(std::uint64_t key,

@@ -55,14 +55,20 @@ Pmu::wrmsr(std::uint32_t msr, std::uint64_t value)
     if (msr >= msrEvtSelBase &&
         msr < msrEvtSelBase + prog.size()) {
         Counter &c = prog[msr - msrEvtSelBase];
-        c.event = decodeEvent(value);
+        const EventType ev = decodeEvent(value);
         PlMask pl = PlMask::None;
         if (value & selUsrBit)
             pl = pl | PlMask::User;
         if (value & selOsBit)
             pl = pl | PlMask::Kernel;
+        const bool enabled = (value & selEnableBit) != 0;
+        // Drivers rewrite the same select on every start/stop: only
+        // a change of event, privilege or enable moves the lists.
+        if (ev == c.event && pl == c.pl && enabled == c.enabled)
+            return;
+        c.event = ev;
         c.pl = pl;
-        c.enabled = (value & selEnableBit) != 0;
+        c.enabled = enabled;
         rebuildActive();
         return;
     }
@@ -83,6 +89,7 @@ Pmu::wrmsr(std::uint32_t msr, std::uint64_t value)
     }
     if (msr == msrFixedCtrCtrl) {
         // 4 bits per fixed counter: bit0 OS, bit1 USR (IA32 layout).
+        bool changed = false;
         for (std::size_t i = 0; i < fixed.size(); ++i) {
             const auto nib = (value >> (4 * i)) & 0xf;
             PlMask pl = PlMask::None;
@@ -90,10 +97,13 @@ Pmu::wrmsr(std::uint32_t msr, std::uint64_t value)
                 pl = pl | PlMask::Kernel;
             if (nib & 2)
                 pl = pl | PlMask::User;
+            const bool enabled = (nib & 3) != 0;
+            changed |= pl != fixed[i].pl || enabled != fixed[i].enabled;
             fixed[i].pl = pl;
-            fixed[i].enabled = (nib & 3) != 0;
+            fixed[i].enabled = enabled;
         }
-        rebuildActive();
+        if (changed)
+            rebuildActive();
         return;
     }
     pca_panic("wrmsr to unknown MSR 0x", std::hex, msr);
@@ -231,7 +241,10 @@ Pmu::reset()
     for (auto &latch : readLatch)
         latch.fill(0);
     tsc = 0;
-    rebuildActive();
+    // Every counter is disabled now: the lists need clearing only if
+    // some counter was counting.
+    if (activeAnyMask[0] != 0 || activeAnyMask[1] != 0)
+        rebuildActive();
 }
 
 void

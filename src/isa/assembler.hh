@@ -89,12 +89,13 @@ class Assembler
      * Emit @p count generic single-byte "work" nops representing
      * straight-line code whose only relevant property is its
      * instruction count and byte footprint (library internals).
-     * Like nop(n), one bulk append; the block engine retires such
-     * runs a cache line at a time.
+     * Like nop(n), they join the NOP-run slot before them unless a
+     * label was bound in between (see CodeBlock::appendNops); the
+     * block engine retires such runs a cache line at a time.
      */
     Assembler &work(int count);
 
-    /** Number of instructions emitted so far. */
+    /** Number of slots emitted so far. */
     std::size_t size() const { return block.size(); }
 
     /** Finish and take the block (the assembler becomes empty). */

@@ -15,26 +15,68 @@ CodeBlock::CodeBlock(std::string name)
 int
 CodeBlock::append(Inst inst)
 {
+    pca_assert(inst.count == 1);
     if (inst.size < 0)
         inst.size = defaultSize(inst.op);
     const int idx = static_cast<int>(insts.size());
     for (int label : pendingLabels)
         labelTargets[label] = idx;
     pendingLabels.clear();
-    insts.push_back(std::move(inst));
-    linked = false;
+    insts.push_back(inst);
     return idx;
 }
 
 int
-CodeBlock::appendRun(Inst inst, int count)
+CodeBlock::appendNops(int count)
 {
     pca_assert(count > 0);
-    if (inst.size < 0)
-        inst.size = defaultSize(inst.op);
-    const int idx = append(inst);
-    insts.insert(insts.end(), static_cast<std::size_t>(count - 1), inst);
+    if (pendingLabels.empty() && !insts.empty() &&
+        insts.back().op == Opcode::Nop && insts.back().size == 1) {
+        insts.back().count += count;
+        return static_cast<int>(insts.size()) - 1;
+    }
+    Inst nop;
+    nop.op = Opcode::Nop;
+    const int idx = append(nop);
+    insts.back().count = count;
     return idx;
+}
+
+int
+CodeBlock::appendCall(std::string callee)
+{
+    Inst call;
+    call.op = Opcode::Call;
+    call.side = static_cast<int>(calls.size());
+    const int idx = append(call);
+    calls.push_back({idx, std::move(callee)});
+    return idx;
+}
+
+int
+CodeBlock::appendHost(HostFn fn)
+{
+    Inst host;
+    host.op = Opcode::HostOp;
+    host.side = static_cast<int>(hosts.size());
+    hosts.push_back(std::move(fn));
+    return append(host);
+}
+
+const std::string &
+CodeBlock::calleeName(std::size_t i) const
+{
+    const Inst &in = inst(i);
+    pca_assert(in.op == Opcode::Call);
+    return calls.at(static_cast<std::size_t>(in.side)).callee;
+}
+
+const HostFn &
+CodeBlock::hostFn(std::size_t i) const
+{
+    const Inst &in = inst(i);
+    pca_assert(in.op == Opcode::HostOp);
+    return hosts.at(static_cast<std::size_t>(in.side));
 }
 
 int
@@ -60,7 +102,7 @@ CodeBlock::layout(Addr base_addr)
     Addr a = base_addr;
     for (auto &inst : insts) {
         inst.addr = a;
-        a += static_cast<Addr>(inst.size);
+        a += static_cast<Addr>(inst.size) * static_cast<Addr>(inst.count);
         if (inst.label >= 0) {
             pca_assert(inst.label <
                        static_cast<int>(labelTargets.size()));
@@ -72,7 +114,14 @@ CodeBlock::layout(Addr base_addr)
         }
     }
     byteSize = a - base_addr;
-    linked = true;
+}
+
+void
+CodeBlock::resolveCalls(
+    const std::function<int(const std::string &)> &find)
+{
+    for (const CallSite &c : calls)
+        insts[static_cast<std::size_t>(c.slot)].callee = find(c.callee);
 }
 
 std::string
@@ -122,7 +171,11 @@ CodeBlock::disassemble() const
             os << " -> #" << in.targetIndex;
             break;
           case Opcode::Call:
-            os << " " << in.callee;
+            os << " " << calleeName(i);
+            break;
+          case Opcode::Nop:
+            if (in.count > 1)
+                os << " x" << in.count;
             break;
           default:
             break;

@@ -94,28 +94,22 @@ DecodedBlock::build(const CodeBlock &blk)
     code.assign(n, DecodedInst{});
     runEnds.assign(n, 0);
 
-    // Every single-byte Nop decodes to this record but for its address.
-    DecodedInst nop;
-    nop.op = Opcode::Nop;
-    nop.size = 1;
-    nop.flags = DiFfSafe | DiNop;
-
     for (std::size_t i = 0; i < n; ++i) {
         const Inst &in = blk.inst(i);
         DecodedInst &di = code[i];
-        if (in.op == Opcode::Nop && in.size == 1) {
-            di = nop;
-            di.addr = in.addr;
-            continue;
-        }
         di.op = in.op;
         di.r1 = static_cast<std::uint8_t>(in.r1);
         di.r2 = static_cast<std::uint8_t>(in.r2);
         di.size = in.size;
+        di.count = in.count;
         di.targetIndex = in.targetIndex;
         di.imm = in.imm;
         di.addr = in.addr;
 
+        if (in.op == Opcode::Nop && in.size == 1)
+            di.flags |= DiNop;
+        else
+            pca_assert(in.count == 1);
         if (!inlineOp(in.op))
             di.flags |= DiEscape;
         if (ffSafe(in.op))
@@ -132,22 +126,14 @@ DecodedBlock::build(const CodeBlock &blk)
         }
     }
 
-    // Straight-line run ends and Nop run ends, built backwards:
-    // runEnds[i] is the first escape at or after i (or n), so
-    // [i, runEnds[i]) is guaranteed inline-executable; a Nop's nopEnd
-    // is the first instruction after it that is no DiNop.
+    // Straight-line run ends, built backwards: runEnds[i] is the
+    // first escape at or after i (or n), so [i, runEnds[i]) is
+    // guaranteed inline-executable.
     std::int32_t end = static_cast<std::int32_t>(n);
-    std::int32_t nop_end = end;
     for (std::size_t i = n; i-- > 0;) {
-        const auto here = static_cast<std::int32_t>(i);
-        DecodedInst &di = code[i];
-        if (di.escape())
-            end = here;
+        if (code[i].escape())
+            end = static_cast<std::int32_t>(i);
         runEnds[i] = end;
-        if ((di.flags & DiNop) != 0)
-            di.nopEnd = nop_end;
-        else
-            nop_end = here;
     }
 }
 

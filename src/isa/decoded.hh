@@ -47,16 +47,16 @@ enum DecodedFlags : std::uint8_t
      */
     DiEscape = 1 << 3,
     /**
-     * Single-byte Nop (work(n) filler): the block engine retires a
-     * run of these one icache line at a time (see nopEnd).
+     * Single-byte Nop slot (work(n) filler, count NOPs): the block
+     * engine retires it one icache line at a time.
      */
     DiNop = 1 << 4,
 };
 
 /**
- * One pre-decoded instruction: the subset of Inst the block engine
- * executes, flattened into a fixed-size, pointer-free record (40
- * bytes vs. Inst's ~100 including std::string/std::function).
+ * One pre-decoded slot: the subset of Inst the block engine
+ * executes, flattened into a fixed-size record (40 bytes vs. Inst's
+ * 48). A NOP run stays one record.
  */
 struct DecodedInst
 {
@@ -67,13 +67,8 @@ struct DecodedInst
     std::int32_t size = 0;
     /** Branches: block-local target index (-1 for non-branches). */
     std::int32_t targetIndex = -1;
-    /**
-     * DiNop instructions: exclusive end of the contiguous DiNop run
-     * starting here (the run's bytes are contiguous, one per Nop).
-     * 0 otherwise. Fills what was padding, so the record does not
-     * grow.
-     */
-    std::int32_t nopEnd = 0;
+    /** Instructions in the slot (Inst::count). */
+    std::int32_t count = 1;
     std::int64_t imm = 0;
     Addr addr = 0;
     /** Link-resolved byte address of a branch's target. */
@@ -83,9 +78,9 @@ struct DecodedInst
 };
 
 /**
- * The decoded image of one CodeBlock plus its straight-line run
- * structure. Built by Program::link2 after layout (addresses and
- * branch targets must already be resolved).
+ * The decoded image of one CodeBlock, one record per slot, plus its
+ * straight-line run structure. Built by Program::link2 after
+ * layout (addresses and branch targets must already be resolved).
  */
 class DecodedBlock
 {
@@ -102,9 +97,9 @@ class DecodedBlock
 
     /**
      * Exclusive end of the contiguous non-escape run containing
-     * instruction @p i: the block engine may execute instructions
-     * [i, runEnd(i)) without consulting the legacy interpreter.
-     * Equals i when instruction i itself is an escape.
+     * slot @p i: the block engine may execute slots [i, runEnd(i))
+     * without consulting the legacy interpreter. Equals i when slot
+     * i itself is an escape.
      */
     int runEnd(std::size_t i) const { return runEnds[i]; }
 

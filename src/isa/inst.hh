@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "support/types.hh"
 
@@ -108,32 +109,48 @@ class CpuContext; // forward-declared execution context view
 /** Host callback type for HostOp. @see Opcode::HostOp */
 using HostFn = std::function<void(CpuContext &)>;
 
-/** One decoded instruction. */
+/**
+ * One instruction slot of a CodeBlock. A slot holds one instruction,
+ * except that a run of single-byte NOPs (work(n) filler) is one slot
+ * of @ref count NOPs: instruction i of the run is at addr + i, so a
+ * run costs one slot however long it is. Plain data: the payloads
+ * that are not (a call's callee name, a host escape's callback) live
+ * in side tables of the owning CodeBlock.
+ */
 struct Inst
 {
     Opcode op = Opcode::Nop;
     Reg r1 = Reg::Eax;
     Reg r2 = Reg::Eax;
-    std::int64_t imm = 0;
-
-    /** Branch target: index of a label within the owning block. */
-    int label = -1;
-
-    /** Call target: symbol name of the callee block. */
-    std::string callee;
 
     /** Encoded size in bytes; -1 means "use defaultSize(op)". */
-    int size = -1;
+    std::int32_t size = -1;
 
-    /** Host escape payload (HostOp only). */
-    HostFn host;
+    /** Instructions in the slot: 1, or the length of a NOP run. */
+    std::int32_t count = 1;
 
-    /** Address assigned at link time. */
+    /** Branch target: index of a label within the owning block. */
+    std::int32_t label = -1;
+
+    /** Resolved branch target as a slot index in the block. */
+    std::int32_t targetIndex = -1;
+
+    /**
+     * Call and HostOp: index into the owning block's side table
+     * (CodeBlock::calleeName / CodeBlock::hostFn).
+     */
+    std::int32_t side = -1;
+
+    /** Call: callee block id, resolved at link time (-1: no such). */
+    std::int32_t callee = -1;
+
+    std::int64_t imm = 0;
+
+    /** Address of the slot's first instruction, assigned at link. */
     Addr addr = 0;
-
-    /** Resolved branch target as an instruction index in the block. */
-    int targetIndex = -1;
 };
+
+static_assert(std::is_trivially_copyable_v<Inst>);
 
 } // namespace pca::isa
 

@@ -49,9 +49,18 @@ Program::link2(Addr user_base, Addr kernel_base, Addr align)
         totalBytes += blocks[i].bytes();
     }
     decodedBlocks.resize(blocks.size());
-    for (std::size_t i = 0; i < blocks.size(); ++i)
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        resolveCalls(blocks[i]);
         decodedBlocks[i].build(blocks[i]);
+    }
     isLinked = true;
+}
+
+void
+Program::resolveCalls(CodeBlock &blk) const
+{
+    blk.resolveCalls(
+        [this](const std::string &name) { return find(name); });
 }
 
 void
@@ -70,6 +79,7 @@ Program::replace(int id, CodeBlock block)
     totalBytes -= blocks[i].bytes();
     blocks[i] = std::move(block);
     blocks[i].layout(base);
+    resolveCalls(blocks[i]);
     totalBytes += blocks[i].bytes();
     decodedBlocks[i].build(blocks[i]);
 }

@@ -23,11 +23,16 @@
 namespace pca::isa
 {
 
-/** Location of an instruction: block id plus index within it. */
+/**
+ * Location of an instruction: block id, slot index within it, and
+ * the instruction's offset within the slot (nonzero only inside a
+ * NOP run).
+ */
 struct CodePtr
 {
     int block = -1;
     int index = 0;
+    int offset = 0;
 
     bool valid() const { return block >= 0; }
     bool operator==(const CodePtr &o) const = default;
@@ -82,8 +87,16 @@ class Program
     /** Entry point of a named block; panics if absent. */
     CodePtr entry(const std::string &name) const;
 
-    /** The instruction at @p ptr. */
+    /** The slot holding the instruction at @p ptr. */
     const Inst &inst(CodePtr ptr) const;
+
+    /** Address of the instruction at @p ptr. */
+    Addr addr(CodePtr ptr) const
+    {
+        const Inst &in = inst(ptr);
+        return in.addr + static_cast<Addr>(ptr.offset) *
+                             static_cast<Addr>(in.size);
+    }
 
     /**
      * The pre-decoded image of block @p id (valid after link). The
@@ -102,6 +115,8 @@ class Program
     std::string disassemble() const;
 
   private:
+    void resolveCalls(CodeBlock &blk) const;
+
     std::vector<CodeBlock> blocks;
     std::vector<DecodedBlock> decodedBlocks;
     std::vector<int> blockSegments;

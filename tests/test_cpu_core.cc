@@ -4,11 +4,15 @@
  * flow, privilege transitions, counting, and loop fast-forward.
  */
 
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
+#include "support/status.hh"
 
 namespace pca::cpu
 {
@@ -455,8 +459,124 @@ TEST(CoreGuard, RunawayProgramPanics)
     a.jmp(loop);
     m.prog.add(a.take());
     m.finish();
-    EXPECT_THROW(m.core->run(m.prog.entry("main"), 10000),
-                 std::logic_error);
+    // A Status, not an internal-invariant panic: the program is at
+    // fault, and retrying cannot help.
+    try {
+        m.core->run(m.prog.entry("main"), 10000);
+        FAIL() << "runaway program halted";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::ResourceExhausted);
+        EXPECT_FALSE(e.status().transient());
+    }
+}
+
+/** Timer ticks every @p period cycles, from cycle @p period on. */
+class PeriodicTicks : public InterruptClient
+{
+  public:
+    explicit PeriodicTicks(Cycles period) : period(period), due(period) {}
+
+    Cycles nextInterruptCycle() const override { return due; }
+
+    int
+    pollInterrupt(Cycles now) override
+    {
+        if (now < due)
+            return -1;
+        due = (now / period + 1) * period;
+        return 0;
+    }
+
+  private:
+    Cycles period;
+    Cycles due;
+};
+
+/**
+ * Run a counted loop whose body is a @p nops NOP run, linked at
+ * @p base, under ticks every @p period cycles; the handler records
+ * the address each tick landed on. Returns the run's result, the
+ * landing addresses, and the NOP run's address.
+ */
+struct TickedRun
+{
+    RunResult result;
+    std::vector<Addr> landed;
+    Addr run = 0;
+};
+
+TickedRun
+tickedNopLoop(bool decode, Processor proc, Cycles period, Addr base,
+              int nops)
+{
+    TestMachine m(proc);
+    TickedRun out;
+    Assembler isr("isr");
+    Core *core = m.core.get();
+    isr.host([core, &out](isa::CpuContext &) {
+           out.landed.push_back(core->lastInterruptedAddr());
+       })
+        .work(3)
+        .iret();
+    m.prog.add(isr.take());
+    Assembler a("main");
+    a.movImm(Reg::Esi, 0);
+    const int loop = a.label();
+    a.addImm(Reg::Esi, 1)
+        .work(nops)
+        .cmpImm(Reg::Esi, 3000)
+        .jne(loop)
+        .halt();
+    m.prog.add(a.take());
+    m.prog.link(base, /*align=*/1);
+    m.core->setProgram(&m.prog);
+    PeriodicTicks ticks(period);
+    m.core->setInterruptClient(&ticks);
+    m.core->setInterruptEntry(m.prog.entry("isr"));
+    m.core->setFastForwardEnabled(false);
+    m.core->setDecodeCacheEnabled(decode);
+    out.result = m.run();
+    out.run = m.prog.block(1).inst(2).addr;
+    return out;
+}
+
+TEST(CoreNopRun, InterruptsLandAtEveryOffsetMatchStep)
+{
+    // A timer-period sweep over a loop whose body holds a six-NOP
+    // run, at every alignment of a 32-byte fetch window. A tick lands
+    // on the instruction after the one whose charge reaches it, and
+    // window entries move those charges, so ticks land on every NOP
+    // of the run. The block engine must stop, deliver and resume at
+    // exactly the NOPs step() does, every time.
+    constexpr int nops = 6;
+    for (const auto proc : {Processor::PentiumD, Processor::Core2Duo,
+                            Processor::AthlonX2}) {
+        std::set<Addr> offsets;
+        for (Addr base = 0x1000; base < 0x1020; ++base)
+            for (Cycles period = 1000; period < 1012; ++period) {
+                const TickedRun step =
+                    tickedNopLoop(false, proc, period, base, nops);
+                const TickedRun block =
+                    tickedNopLoop(true, proc, period, base, nops);
+                ASSERT_EQ(block.landed, step.landed)
+                    << processorCode(proc) << " period " << period
+                    << " base " << base;
+                EXPECT_EQ(block.result.cycles, step.result.cycles);
+                EXPECT_EQ(block.result.userInstr, step.result.userInstr);
+                EXPECT_EQ(block.result.kernelInstr,
+                          step.result.kernelInstr);
+                EXPECT_GT(step.landed.size(), 10u);
+                for (const Addr at : step.landed)
+                    if (at >= step.run && at < step.run + nops)
+                        offsets.insert(at - step.run);
+            }
+        // Core2's loop-stream detector streams this loop: it charges
+        // whole decode groups only, so ticks land on fixed NOPs there.
+        if (proc != Processor::Core2Duo) {
+            EXPECT_EQ(offsets.size(), static_cast<std::size_t>(nops))
+                << processorCode(proc);
+        }
+    }
 }
 
 TEST(CoreFastForward, MatchesInterpretationExactly)

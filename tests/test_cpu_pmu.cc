@@ -173,6 +173,81 @@ TEST(PmuTest, ResetClearsEverything)
     EXPECT_FALSE(pmu.progCounter(0).enabled);
 }
 
+TEST(PmuTest, RedundantReprogrammingKeepsCounts)
+{
+    // Two PMUs see the same events; one has its selects and fixed
+    // control rewritten with the same values before every batch, as
+    // a driver's start/stop path does. Skipping the redundant list
+    // rebuilds must leave every count identical, while a real change
+    // (a new event, a disable, a reset) still takes effect.
+    const MicroArch &arch = microArch(Processor::Core2Duo);
+    Pmu once(arch);
+    Pmu often(arch);
+    const auto sel0 = Pmu::encodeEvtSel(EventType::InstrRetired,
+                                        PlMask::User, true);
+    const auto sel1 = Pmu::encodeEvtSel(EventType::BrInstRetired,
+                                        PlMask::UserKernel, true);
+    auto program = [&](Pmu &pmu) {
+        pmu.wrmsr(Pmu::msrEvtSelBase, sel0);
+        pmu.wrmsr(Pmu::msrEvtSelBase + 1, sel1);
+        pmu.wrmsr(Pmu::msrFixedCtrCtrl, 0x3);
+    };
+    auto batch = [](Pmu &pmu, Count i) {
+        pmu.count(EventType::InstrRetired, Mode::User, 3 + i);
+        pmu.count(EventType::InstrRetired, Mode::Kernel, 5);
+        pmu.count(EventType::BrInstRetired, Mode::Kernel, i);
+        pmu.addCycles(7, Mode::User);
+    };
+    auto expectSame = [&] {
+        for (int c = 0; c < 2; ++c)
+            EXPECT_EQ(once.rdpmc(static_cast<std::uint64_t>(c)),
+                      often.rdpmc(static_cast<std::uint64_t>(c)))
+                << c;
+        for (std::uint64_t f = 0; f < 3; ++f)
+            EXPECT_EQ(once.rdpmc(Pmu::rdpmcFixedBit | f),
+                      often.rdpmc(Pmu::rdpmcFixedBit | f))
+                << f;
+    };
+
+    program(once);
+    program(often);
+    for (Count i = 0; i < 50; ++i) {
+        program(often);
+        batch(once, i);
+        batch(often, i);
+    }
+    expectSame();
+    EXPECT_EQ(often.rdpmc(0), 50u * 3 + 49u * 50 / 2);
+    EXPECT_EQ(often.rdpmc(Pmu::rdpmcFixedBit | 0),
+              50u * 3 + 49u * 50 / 2 + 50u * 5);
+
+    // A changed select after the redundant writes still applies.
+    const auto cyc = Pmu::encodeEvtSel(EventType::CpuClkUnhalted,
+                                       PlMask::User, true);
+    once.wrmsr(Pmu::msrEvtSelBase + 1, cyc);
+    often.wrmsr(Pmu::msrEvtSelBase + 1, cyc);
+    often.wrmsr(Pmu::msrEvtSelBase + 1, cyc);
+    const Count before = often.rdpmc(1);
+    batch(once, 1);
+    batch(often, 1);
+    EXPECT_EQ(often.rdpmc(1), before + 7);
+    expectSame();
+
+    // After a reset nothing counts until the selects are rewritten.
+    once.reset();
+    often.reset();
+    batch(often, 1);
+    EXPECT_EQ(often.rdpmc(0), 0u);
+    EXPECT_EQ(often.rdpmc(Pmu::rdpmcFixedBit | 0), 0u);
+    program(once);
+    program(often);
+    program(often);
+    batch(once, 2);
+    batch(often, 2);
+    expectSame();
+    EXPECT_EQ(often.rdpmc(0), 5u);
+}
+
 TEST(PmuTest, BadMsrPanics)
 {
     Pmu pmu = makeK8Pmu();

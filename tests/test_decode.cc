@@ -93,8 +93,8 @@ TEST(DecodedBlock, RunEndsStopAtEscapes)
 
 TEST(DecodedBlock, NopRunsEndAtTheNextOtherOpcode)
 {
-    // work(n) appends its run in one insert: a pending label binds to
-    // the run's first NOP, and every NOP knows where its run ends.
+    // A NOP run is one slot: a pending label binds to it, and
+    // back-to-back nop()/work() calls extend it.
     isa::Assembler a("main");
     a.movImm(isa::Reg::Eax, 0);
     const int head = a.label();
@@ -103,25 +103,25 @@ TEST(DecodedBlock, NopRunsEndAtTheNextOtherOpcode)
     p.add(a.take());
     p.link2(/*user_base=*/0x1000, /*kernel_base=*/0x100000);
     const isa::DecodedBlock &db = p.decoded(0);
-    ASSERT_EQ(db.size(), 14u);
-    EXPECT_EQ(db.inst(12).targetIndex, 1);
+    ASSERT_EQ(db.size(), 6u);
+    EXPECT_EQ(db.inst(4).targetIndex, 1);
 
     for (std::size_t i = 0; i < db.size(); ++i) {
-        const bool nop = (i >= 1 && i <= 5) || (i >= 7 && i <= 11);
+        const bool nop = i == 1 || i == 3;
         EXPECT_EQ((db.inst(i).flags & isa::DiNop) != 0, nop) << i;
+        EXPECT_EQ(db.inst(i).count, nop ? 5 : 1) << i;
         if (nop) {
             EXPECT_NE(db.inst(i).flags & isa::DiFfSafe, 0) << i;
             EXPECT_FALSE(db.inst(i).escape()) << i;
-            EXPECT_EQ(db.inst(i).addr, db.inst(i - 1).addr +
-                                           static_cast<Addr>(
-                                               db.inst(i - 1).size))
+        }
+        if (i > 0) {
+            EXPECT_EQ(db.inst(i).addr,
+                      db.inst(i - 1).addr +
+                          static_cast<Addr>(db.inst(i - 1).size *
+                                            db.inst(i - 1).count))
                 << i;
         }
     }
-    for (std::size_t i = 1; i <= 5; ++i)
-        EXPECT_EQ(db.inst(i).nopEnd, 6) << i;
-    for (std::size_t i = 7; i <= 11; ++i)
-        EXPECT_EQ(db.inst(i).nopEnd, 12) << i;
 }
 
 // ---------------------------------------------------------------- //
@@ -154,14 +154,18 @@ configFor(bool decode, const Shape &shape)
     return cfg;
 }
 
-/** Run @p m; digest the run: results plus every raw event counter. */
+/**
+ * Run @p m; digest the run: results, every raw event counter, and
+ * the address the last interrupt landed on.
+ */
 std::string
 runDigest(Machine &m)
 {
     const cpu::RunResult r = m.run();
     std::ostringstream os;
     os << r.userInstr << '/' << r.kernelInstr << '/' << r.cycles
-       << '/' << r.interrupts << '/' << r.fastForwardedIters;
+       << '/' << r.interrupts << '/' << r.fastForwardedIters << '@'
+       << m.core().lastInterruptedAddr();
     for (std::size_t e = 0; e < cpu::numEvents; ++e)
         for (auto mode : {Mode::User, Mode::Kernel})
             os << '/'
@@ -348,10 +352,14 @@ nopRun(int nops)
 /**
  * A random program for the block-engine fuzz: NOP runs of random
  * length (most within a line, some across many) mixed with ALU ops,
- * memory ops, getpid syscalls and counted loops whose bodies hold NOP
- * runs of their own (short ones fit a line, so Core2's loop-stream
- * detector engages and stays on after the loop exits). Mixed opcode
- * sizes shift every later run's alignment.
+ * memory ops, getpid syscalls, calls of a leaf that is itself a NOP
+ * run, and counted loops whose bodies hold NOP runs of their own
+ * (short ones fit a line, so Core2's loop-stream detector engages
+ * and stays on after the loop exits). Syscalls and calls are
+ * followed by a run, so they return to a run's first NOP; some loop
+ * heads split a run, so their back-edges land at a run offset that
+ * straight-line execution passes mid-run. Mixed opcode sizes shift
+ * every later run's alignment.
  */
 auto
 randomProgram(std::uint64_t seed)
@@ -359,6 +367,9 @@ randomProgram(std::uint64_t seed)
     return [seed](Machine &m) {
         using isa::Reg;
         Rng rng(seed);
+        isa::Assembler leaf("leaf");
+        leaf.work(static_cast<int>(1 + rng.nextBelow(80))).ret();
+        m.addUserBlock(leaf.take());
         isa::Assembler a("main");
         a.movImm(Reg::Ecx, 0x400000);
         auto nops = [&] {
@@ -387,6 +398,8 @@ randomProgram(std::uint64_t seed)
               case 2:
               {
                 a.movImm(Reg::Esi, 0);
+                if (rng.nextBool(0.3))
+                    nops();
                 const int loop = a.label();
                 nops();
                 if (rng.nextBool(0.5))
@@ -399,7 +412,11 @@ randomProgram(std::uint64_t seed)
                 break;
               }
               case 3:
-                a.movImm(Reg::Eax, kernel::sysno::getpid).syscall();
+                if (rng.nextBool(0.5))
+                    a.movImm(Reg::Eax, kernel::sysno::getpid).syscall();
+                else
+                    a.call("leaf");
+                nops();
                 break;
               default:
                 a.store(Reg::Ebx, Reg::Ecx,
@@ -552,6 +569,88 @@ TEST(NopBatch, RandomProgramsMatchStep)
     EXPECT_GT(obs::spcValue(Spc::NopBatchRejectIrq), 0u);
     EXPECT_GT(obs::spcValue(Spc::InterruptsTimer), 0u);
     obs::spcReset();
+}
+
+TEST(NopBatch, TimerPeriodBelowTheTickHandlerFailsWithStatus)
+{
+    // At a 500-cycle period the tick handler outlasts the period, so
+    // the user loop below (done in 468 cycles at period 1000) never
+    // gets to halt. The runaway guard must report that as a Status
+    // the harness can degrade on, not abort the process; retrying
+    // would fail the same way, so it is not transient.
+    Machine m(configFor(true, Shape{cpu::Processor::Core2Duo, true,
+                                    true, 500}));
+    nopLoop(10, 50)(m);
+    m.finalize();
+    const StatusOr<cpu::RunResult> r = m.tryRun();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::ResourceExhausted);
+    EXPECT_FALSE(r.status().transient());
+    EXPECT_NE(r.status().message().find("runaway"), std::string::npos);
+
+    // At 1000 cycles the same program completes.
+    Machine ok(configFor(true, Shape{cpu::Processor::Core2Duo, true,
+                                     true, 1000}));
+    nopLoop(10, 50)(ok);
+    ok.finalize();
+    EXPECT_TRUE(ok.tryRun().ok());
+}
+
+TEST(NopBatch, SyscallAndCallReturnIntoARun)
+{
+    // Calls and syscalls return to the first NOP of the run after
+    // them, and the leaf's body is a run of its own. Every NOP
+    // retires once per iteration, with ticks landing throughout.
+    constexpr Count iters = 400;
+    auto program = [](Machine &m) {
+        isa::Assembler leaf("leaf");
+        leaf.work(30).ret();
+        m.addUserBlock(leaf.take());
+        isa::Assembler a("main");
+        a.movImm(isa::Reg::Esi, 0);
+        const int loop = a.label();
+        a.call("leaf")
+            .work(20)
+            .movImm(isa::Reg::Eax, kernel::sysno::getpid)
+            .syscall()
+            .work(25)
+            .addImm(isa::Reg::Esi, 1)
+            .cmpImm(isa::Reg::Esi, static_cast<std::int64_t>(iters))
+            .jne(loop)
+            .halt();
+        m.addUserBlock(a.take());
+    };
+    for (const auto proc : allProcs)
+        for (const Cycles period : {0, 4001, 5003, 7919})
+            expectDecodeInvisible(Shape{proc, true, true, period},
+                                  program, "call/syscall into runs");
+
+    Machine m(configFor(true, Shape{cpu::Processor::Core2Duo, true,
+                                    true, 4001}));
+    program(m);
+    m.finalize();
+    const cpu::RunResult r = m.run();
+    EXPECT_GT(r.interrupts, 10u);
+    // call + 30 + ret + 20 + mov + syscall + 25 + add/cmp/jne.
+    EXPECT_EQ(r.userInstr, iters * 82 + 2);
+}
+
+TEST(NopBatch, LoopBodyRunFastForwards)
+{
+    // A counted loop whose body is a 40-NOP run reaches a steady
+    // state: fast-forward skips most iterations, and the result is
+    // the same as stepping every NOP.
+    for (const auto proc : allProcs) {
+        const Shape shape{proc, true, false};
+        expectDecodeInvisible(shape, nopLoop(20000, 40), "NOP loop, ff");
+        Machine m(configFor(true, shape));
+        nopLoop(20000, 40)(m);
+        m.finalize();
+        const cpu::RunResult r = m.run();
+        EXPECT_GT(r.fastForwardedIters, 10000u)
+            << cpu::processorCode(proc);
+        EXPECT_EQ(r.userInstr, 20000u * 43 + 2);
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -63,7 +63,11 @@ TEST(Assembler, LabelResolvesToInstructionIndex)
     a.nop(1).jne(l);
     CodeBlock b = a.take();
     b.layout(0x1000);
-    EXPECT_EQ(b.inst(3).targetIndex, 2);
+    // Indexes name slots: the label splits the NOPs into a run of two
+    // (slot 0) and one (slot 1); the jne is slot 2.
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(b.inst(2).targetIndex, 1);
+    EXPECT_EQ(b.inst(1).addr, 0x1002u);
 }
 
 TEST(Assembler, ForwardLabelBindsLater)
@@ -76,7 +80,10 @@ TEST(Assembler, ForwardLabelBindsLater)
     a.nop(1);
     CodeBlock b = a.take();
     b.layout(0);
-    EXPECT_EQ(b.inst(0).targetIndex, 6);
+    // jmp, a run of five NOPs, then the bound NOP in a slot of its own.
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(b.inst(0).targetIndex, 2);
+    EXPECT_EQ(b.inst(2).addr, 7u);
 }
 
 TEST(Assembler, UnboundLabelPanicsAtLayout)
@@ -90,12 +97,16 @@ TEST(Assembler, UnboundLabelPanicsAtLayout)
 
 TEST(Assembler, WorkEmitsNops)
 {
+    // Seven single-byte NOPs in one run slot.
     Assembler a("w");
     a.work(7);
     CodeBlock b = a.take();
-    EXPECT_EQ(b.size(), 7u);
-    for (std::size_t i = 0; i < b.size(); ++i)
-        EXPECT_EQ(b.inst(i).op, Opcode::Nop);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(b.inst(0).op, Opcode::Nop);
+    EXPECT_EQ(b.inst(0).size, 1);
+    EXPECT_EQ(b.inst(0).count, 7);
+    b.layout(0x100);
+    EXPECT_EQ(b.bytes(), 7u);
 }
 
 TEST(Assembler, HostOpCarriesCallback)
@@ -105,7 +116,7 @@ TEST(Assembler, HostOpCarriesCallback)
     a.host([&ran](CpuContext &) { ran = true; });
     CodeBlock b = a.take();
     ASSERT_EQ(b.size(), 1u);
-    ASSERT_TRUE(b.inst(0).host);
+    ASSERT_TRUE(b.hostFn(0));
     EXPECT_FALSE(ran);
 }
 
@@ -239,6 +250,87 @@ TEST(ProgramTest, InstLookup)
     p.link();
     EXPECT_EQ(p.inst({0, 0}).op, Opcode::MovImm);
     EXPECT_EQ(p.inst({0, 1}).op, Opcode::Halt);
+}
+
+// ---------------------------------------------------------------- //
+// Run-length NOP filler: a work(n) run is one slot
+// ---------------------------------------------------------------- //
+
+TEST(NopRunSlot, WorkOccupiesOneSlotWhateverItsLength)
+{
+    // Slot counts (and so CodeBlock and DecodedBlock storage) do not
+    // grow with the run; only addresses and the byte size do.
+    auto build = [](int n) {
+        Program p;
+        Assembler a("main");
+        a.movImm(Reg::Eax, 1).work(n).halt();
+        p.add(a.take());
+        p.link(0x1000);
+        return p;
+    };
+    const Program small = build(10);
+    const Program big = build(100000);
+    ASSERT_EQ(big.block(0).size(), 3u);
+    EXPECT_EQ(big.block(0).size(), small.block(0).size());
+    EXPECT_EQ(big.decoded(0).size(), small.decoded(0).size());
+    EXPECT_EQ(big.block(0).inst(1).count, 100000);
+    EXPECT_EQ(big.decoded(0).inst(1).count, 100000);
+    EXPECT_EQ(big.block(0).bytes(), 5u + 100000u + 1u);
+    EXPECT_EQ(big.block(0).inst(2).addr, 0x1000u + 5u + 100000u);
+}
+
+TEST(NopRunSlot, InstructionAddressIsSlotAddressPlusOffset)
+{
+    Program p;
+    Assembler a("main");
+    a.movImm(Reg::Eax, 1).work(64).halt();
+    p.add(a.take());
+    p.link(0x2000);
+    const Addr base = p.block(0).inst(1).addr;
+    EXPECT_EQ(base, 0x2005u);
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(p.addr(CodePtr{0, 1, i}), base + static_cast<Addr>(i))
+            << i;
+    EXPECT_EQ(p.addr(CodePtr{0, 2}), base + 64);
+}
+
+TEST(NopRunSlot, LabelBetweenWorkCallsSplitsTheRun)
+{
+    Assembler joined("j");
+    joined.work(3).work(4).nop(2);
+    CodeBlock j = joined.take();
+    ASSERT_EQ(j.size(), 1u);
+    EXPECT_EQ(j.inst(0).count, 9);
+
+    Assembler split("s");
+    split.work(3);
+    const int mid = split.label();
+    split.work(4).jmp(mid);
+    CodeBlock s = split.take();
+    s.layout(0x100);
+    ASSERT_EQ(s.size(), 3u);
+    EXPECT_EQ(s.inst(0).count, 3);
+    EXPECT_EQ(s.inst(1).count, 4);
+    EXPECT_EQ(s.inst(1).addr, 0x103u);
+    EXPECT_EQ(s.inst(2).targetIndex, 1);
+    EXPECT_EQ(s.inst(2).addr, 0x107u);
+}
+
+TEST(NopRunSlot, CallResolvesToBlockIdAtLink)
+{
+    Program p;
+    Assembler m("main");
+    m.call("leaf").call("missing").halt();
+    p.add(m.take());
+    Assembler l("leaf");
+    l.ret();
+    const int leaf = p.add(l.take());
+    p.link();
+    EXPECT_EQ(p.inst({0, 0}).callee, leaf);
+    EXPECT_EQ(p.block(0).calleeName(0), "leaf");
+    // An unknown callee links; it faults only if the call runs.
+    EXPECT_EQ(p.inst({0, 1}).callee, -1);
+    EXPECT_EQ(p.block(0).calleeName(1), "missing");
 }
 
 } // namespace

@@ -21,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/factor_space.hh"
@@ -482,10 +484,29 @@ TEST(ProfiledMachine, SymbolsFollowAReplacedUserBlock)
 // Snapshot seqlock
 // ---------------------------------------------------------------- //
 
+namespace
+{
+
+/**
+ * A snapshot file path private to this process and test: concurrent
+ * runs of the suite (repeat loops, parallel ctest of several build
+ * trees) share one TMPDIR, and a reader must never see another
+ * process's writer.
+ */
+std::string
+snapshotPath(const std::string &name)
+{
+    const auto *info =
+        testing::UnitTest::GetInstance()->current_test_info();
+    return testing::TempDir() + "pca_" + name + "_" +
+           std::to_string(::getpid()) + "_" + info->name() + ".bin";
+}
+
+} // namespace
+
 TEST(SpcSnapshot, RoundTripPreservesNamesAndValues)
 {
-    const std::string path =
-        testing::TempDir() + "pca_snap_roundtrip.bin";
+    const std::string path = snapshotPath("snap_roundtrip");
     {
         obs::SpcSnapshotWriter w(path, 3);
         w.publishValues({"alpha", "beta", "gamma"}, {1, 2, 3});
@@ -505,11 +526,11 @@ TEST(SpcSnapshot, RoundTripPreservesNamesAndValues)
 TEST(SpcSnapshot, ReaderRejectsGarbage)
 {
     obs::SpcSnapshotReader missing;
-    EXPECT_EQ(missing.open(testing::TempDir() + "pca_no_such.bin")
+    EXPECT_EQ(missing.open(snapshotPath("no_such"))
                   .code(),
               StatusCode::NotFound);
 
-    const std::string path = testing::TempDir() + "pca_garbage.bin";
+    const std::string path = snapshotPath("garbage");
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -524,7 +545,7 @@ TEST(SpcSnapshot, ReaderRejectsGarbage)
 
 TEST(SpcSnapshot, NoTornReadsUnderConcurrentWriter)
 {
-    const std::string path = testing::TempDir() + "pca_seqlock.bin";
+    const std::string path = snapshotPath("seqlock");
     constexpr std::size_t n = 16;
     const std::vector<std::string> names(n, "ctr");
 
