@@ -202,8 +202,10 @@ BENCHMARK(BM_LoopMeasurementWithInterrupts);
 void
 BM_SessionReusedRun(benchmark::State &state)
 {
-    // Steady-state cost of one cached measurement: reboot + run,
-    // no re-assembly (the program cache's amortized per-run cost).
+    // Steady-state cost of one cached measurement: reboot, then a
+    // run or, for seeds no interrupt reaches, a replay of the
+    // recorded run; no re-assembly (the program cache's amortized
+    // per-run cost).
     const NullBench bench;
     HarnessConfig cfg;
     cfg.processor = cpu::Processor::Core2Duo;

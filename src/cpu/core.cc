@@ -596,25 +596,24 @@ Core::stepDecodedBlock()
           case Opcode::Load:
           {
             const Addr a = regs[di.r2] + static_cast<Addr>(di.imm);
-            auto it = memory.find(a);
-            regs[di.r1] = it == memory.end() ? 0 : it->second;
+            regs[di.r1] = memory.load(a);
             dataAccess(a);
             break;
           }
           case Opcode::Store:
           {
             const Addr a = regs[di.r2] + static_cast<Addr>(di.imm);
-            memory[a] = regs[di.r1];
+            memory.store(a, regs[di.r1]);
             dataAccess(a);
             break;
           }
           case Opcode::Push:
             reg(Reg::Esp) -= 8;
-            memory[reg(Reg::Esp)] = regs[di.r1];
+            memory.store(reg(Reg::Esp), regs[di.r1]);
             dataAccess(reg(Reg::Esp));
             break;
           case Opcode::Pop:
-            regs[di.r1] = memory[reg(Reg::Esp)];
+            regs[di.r1] = memory.load(reg(Reg::Esp));
             dataAccess(reg(Reg::Esp));
             reg(Reg::Esp) += 8;
             break;
@@ -767,25 +766,24 @@ Core::execute(const Inst &in)
       case Opcode::Load:
       {
         const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-        auto it = memory.find(a);
-        reg(in.r1) = it == memory.end() ? 0 : it->second;
+        reg(in.r1) = memory.load(a);
         dataAccess(a);
         break;
       }
       case Opcode::Store:
       {
         const Addr a = reg(in.r2) + static_cast<Addr>(in.imm);
-        memory[a] = reg(in.r1);
+        memory.store(a, reg(in.r1));
         dataAccess(a);
         break;
       }
       case Opcode::Push:
         reg(Reg::Esp) -= 8;
-        memory[reg(Reg::Esp)] = reg(in.r1);
+        memory.store(reg(Reg::Esp), reg(in.r1));
         dataAccess(reg(Reg::Esp));
         break;
       case Opcode::Pop:
-        reg(in.r1) = memory[reg(Reg::Esp)];
+        reg(in.r1) = memory.load(reg(Reg::Esp));
         dataAccess(reg(Reg::Esp));
         reg(Reg::Esp) += 8;
         break;

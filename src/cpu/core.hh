@@ -18,6 +18,7 @@
 #include "cpu/cache.hh"
 #include "cpu/event.hh"
 #include "cpu/frontend.hh"
+#include "cpu/memory.hh"
 #include "cpu/microarch.hh"
 #include "cpu/pmu.hh"
 #include "cpu/predictor.hh"
@@ -359,7 +360,7 @@ class Core : public isa::CpuContext
 
     std::vector<isa::CodePtr> callStack;
     std::vector<SavedContext> trapStack;
-    std::unordered_map<Addr, std::uint64_t> memory;
+    WordMemory memory;
 
     Cycles cycleCount = 0;
     std::array<Cycles, 2> cyclesPerMode{};

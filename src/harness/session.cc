@@ -67,6 +67,15 @@ toMachineConfig(const HarnessConfig &cfg)
     return mc;
 }
 
+/** Charge @p m's pattern overhead to its SPC (once per measurement). */
+void
+countPatternOverhead(const Measurement &m)
+{
+    if (m.attribution.patternOverhead > 0)
+        PCA_SPC_ADD(PatternOverheadInstrs,
+                    static_cast<Count>(m.attribution.patternOverhead));
+}
+
 /**
  * The full cache key. The machine part never contains '|', so two
  * different part pairs never join to one key.
@@ -182,6 +191,31 @@ HarnessSession::HarnessSession(const HarnessConfig &cfg,
         cfg.mode != CountingMode::Kernel) {
         expected = bench.expectedInstructions();
     }
+
+    // Replay needs the interrupt schedule to be the seed's only way
+    // into a run (DESIGN §6.13): a fault plan draws from seeded
+    // streams, and a profiler accumulates across runs. The reference
+    // mode measures every run in full by definition.
+    if (cfg.faults.enabled())
+        replayDecline = obs::Spc::ReplayRejectFaults;
+    else if (cfg.profile.enabled)
+        replayDecline = obs::Spc::ReplayRejectProfile;
+    else if (!cfg.fastForward || !cfg.decodeCache)
+        replayDecline = obs::Spc::ReplayRejectReference;
+}
+
+bool
+HarnessSession::replayAllowed() const
+{
+    // The tracer is checked per run: it records per-run events, and
+    // it may be armed after the session was built.
+    obs::Spc why = replayDecline;
+    if (why == obs::Spc::NumSpcs && obs::traceEnabled())
+        why = obs::Spc::ReplayRejectTrace;
+    if (why == obs::Spc::NumSpcs)
+        return true;
+    obs::spcInc(why);
+    return false;
 }
 
 Measurement
@@ -222,6 +256,25 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
         s1 = CaptureSink{};
         ++runs;
 
+        // Seed-invariant run replay, on attempt 0 only. A seed whose
+        // first interrupt is due strictly after the recorded run's
+        // end cycle cannot reach the run (DESIGN §6.13).
+        const bool replayable = a == 0 && replayAllowed();
+        const Cycles horizon =
+            machine->kernel().interrupts().nextInterruptCycle();
+        if (replayable) {
+            if (recorded &&
+                (!cfg.interruptsEnabled || horizon > recordedEnd)) {
+                PCA_SPC_INC(RunsExecuted);
+                PCA_SPC_INC(RunReplays);
+                countPatternOverhead(*recorded);
+                return *recorded;
+            }
+            if (measuredEligible)
+                PCA_SPC_INC(ReplayRejectIrq);
+            measuredEligible = true;
+        }
+
         const Cycles t0 = machine->core().cycles();
         StatusOr<cpu::RunResult> r = machine->tryRun("main");
         if (!r.ok()) {
@@ -259,10 +312,16 @@ HarnessSession::tryRun(std::uint64_t seed, RetryBudget *budget)
         m.expected = expected;
         m.attribution =
             obs::attributeError(s0.attr, s1.attr, m.expected);
-        if (m.attribution.patternOverhead > 0)
-            PCA_SPC_ADD(
-                PatternOverheadInstrs,
-                static_cast<Count>(m.attribution.patternOverhead));
+        countPatternOverhead(m);
+        // Record only a run the interrupt schedule never reached: no
+        // interrupt, and its own first one due after it ended, so no
+        // horizon bounded a NOP batch or a fast-forward skip either.
+        const Cycles end = machine->core().cycles();
+        if (replayable && !recorded && m.run.interrupts == 0 &&
+            (!cfg.interruptsEnabled || horizon > end)) {
+            recorded = m;
+            recordedEnd = end;
+        }
         return m;
     }
     // The message is part of the degraded-row note in study CSVs:

@@ -15,6 +15,15 @@
  * by tests/test_parallel.cc); caching is therefore invisible in
  * study output.
  *
+ * A session goes one step further for runs the seed cannot reach.
+ * The seed feeds only the interrupt schedule, the scheduler RNG read
+ * on the tick path, and the fault injector, so a run that takes no
+ * interrupt is one pure function of (machine, program) for every
+ * seed. The session records the first such run and answers any later
+ * run whose seed schedules no interrupt up to the recorded run's end
+ * with it (seed-invariant run replay, DESIGN §6.13); a replayed run is
+ * result-identical to a full one.
+ *
  * One level up, the booted machine outlives its program: like the
  * paper's two patched kernels, which ran thousands of measurement
  * processes each, a machine is booted once per machine configuration
@@ -40,6 +49,7 @@
 #include <vector>
 
 #include "harness/harness.hh"
+#include "obs/spc.hh"
 #include "support/retry.hh"
 
 namespace pca::harness
@@ -73,7 +83,10 @@ class HarnessSession
     HarnessSession(const HarnessSession &) = delete;
     HarnessSession &operator=(const HarnessSession &) = delete;
 
-    /** Reboot with @p seed and run the measurement once. */
+    /**
+     * Reboot with @p seed and run the measurement once, or return
+     * the recorded run when the seed cannot reach it (see tryRun).
+     */
     Measurement run(std::uint64_t seed);
 
     /**
@@ -88,6 +101,18 @@ class HarnessSession
      * never simulated-machine cycles, so outcomes stay a pure
      * function of (config, benchmark, seed)). Non-transient failures
      * return immediately.
+     *
+     * Seed-invariant run replay: the session records the first
+     * attempt-0 run that came back ok without an interrupt (and
+     * whose own first interrupt lay beyond its end). A later
+     * attempt-0 run still reboots with its seed, then returns the
+     * recorded Measurement when interrupts are off or the seed's
+     * first interrupt is due strictly after the recorded end cycle;
+     * otherwise it runs in full. Replay is declined outright — each
+     * declined run counted in its replay_reject_* SPC — under a fault
+     * plan, a configured profiler, an armed tracer (checked per run),
+     * or with fast-forward or the decode cache off (the reference
+     * mode). Retries never record or replay.
      */
     StatusOr<Measurement> tryRun(std::uint64_t seed);
 
@@ -103,7 +128,7 @@ class HarnessSession
 
     const HarnessConfig &config() const { return cfg; }
 
-    /** Number of run attempts so far, retries included. */
+    /** Number of run attempts so far, retries and replays included. */
     std::uint64_t runCount() const { return runs; }
 
     /** Total virtual backoff charged by retries so far. */
@@ -121,12 +146,30 @@ class HarnessSession
     }
 
   private:
+    /**
+     * May this attempt-0 run record or replay? Counts the declined
+     * run in the reason's SPC when not.
+     */
+    bool replayAllowed() const;
+
     HarnessConfig cfg;
     std::unique_ptr<Machine> machine;
     CaptureSink s0, s1;
     Count expected = 0;
     std::uint64_t runs = 0;
     Cycles backoff = 0;
+
+    /**
+     * Why every run of this session declines replay for its config
+     * (faults, profile, reference); NumSpcs when only the tracer,
+     * checked per run, can decline it.
+     */
+    obs::Spc replayDecline = obs::Spc::NumSpcs;
+    /** The recorded interrupt-free run, and the cycle it ended at. */
+    std::optional<Measurement> recorded;
+    Cycles recordedEnd = 0;
+    /** An eligible run has been measured in full (replay_reject_irq). */
+    bool measuredEligible = false;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -185,8 +186,13 @@ SpcSnapshotReader::read() const
 
     // Seqlock read side: copy the body between two matching even
     // sequence observations. The retry budget only trips if a writer
-    // publishes pathologically fast (or died mid-write).
+    // publishes pathologically fast (or died mid-write). A failed
+    // attempt yields, so a reader sharing a CPU with a hot writer
+    // lets it finish its publish instead of spinning through the
+    // budget inside one timeslice.
     for (int attempt = 0; attempt < 1000; ++attempt) {
+        if (attempt > 0)
+            std::this_thread::yield();
         const std::uint64_t s1 =
             __atomic_load_n(&h->seq, __ATOMIC_ACQUIRE);
         if (s1 & 1)

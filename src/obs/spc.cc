@@ -77,6 +77,13 @@ spcName(Spc c)
       case Spc::NopBatchRejectIrq: return "nop_batch_reject_irq";
       case Spc::NopBatchRejectLimit:
         return "nop_batch_reject_limit";
+      case Spc::RunReplays: return "run_replays";
+      case Spc::ReplayRejectIrq: return "replay_reject_irq";
+      case Spc::ReplayRejectFaults: return "replay_reject_faults";
+      case Spc::ReplayRejectProfile: return "replay_reject_profile";
+      case Spc::ReplayRejectTrace: return "replay_reject_trace";
+      case Spc::ReplayRejectReference:
+        return "replay_reject_reference";
       case Spc::NumSpcs: break;
     }
     return "?";

@@ -29,7 +29,7 @@ enum class Spc : std::uint8_t
     MachineBoots,       //!< simulated machines constructed
     MachineReuses,      //!< sessions built on a recycled machine
     MachineReuseRejectConfig, //!< evictions whose machine did not fit
-    RunsExecuted,       //!< Machine::run invocations
+    RunsExecuted,       //!< Machine::run invocations plus run replays
     InterruptsTimer,    //!< timer interrupts delivered to a core
     InterruptsIo,       //!< I/O interrupts delivered to a core
     InterruptsPmi,      //!< counter-overflow interrupts delivered
@@ -76,6 +76,12 @@ enum class Spc : std::uint8_t
     NopBatchInstrs,    //!< NOPs retired in those batches
     NopBatchRejectIrq, //!< NOP batches refused: interrupt horizon inside
     NopBatchRejectLimit, //!< NOP batches refused: dispatch limit inside
+    RunReplays,        //!< session runs answered by a recorded run
+    ReplayRejectIrq,   //!< replays refused: an interrupt may be due
+    ReplayRejectFaults, //!< replays refused: fault plan enabled
+    ReplayRejectProfile, //!< replays refused: profiler configured
+    ReplayRejectTrace, //!< replays refused: tracer on
+    ReplayRejectReference, //!< replays refused: fast-forward/decode off
     NumSpcs,
 };
 

@@ -1,18 +1,20 @@
 /**
  * @file
  * Unit tests for the micro-architectural structures: cache model,
- * branch predictor, and front-end fetch model.
+ * branch predictor, front-end fetch model, and data memory.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cpu/cache.hh"
 #include "cpu/frontend.hh"
+#include "cpu/memory.hh"
 #include "cpu/microarch.hh"
 #include "cpu/predictor.hh"
 #include "support/random.hh"
@@ -285,6 +287,58 @@ TEST(CacheEpoch, WraparoundClearsStaleWays)
     }
     EXPECT_EQ(c.hits(), ref.hits());
     EXPECT_EQ(c.misses(), ref.misses());
+}
+
+TEST(WordMemory, UnwrittenReadsZeroAndStoresOverwrite)
+{
+    WordMemory m;
+    EXPECT_EQ(m.load(0xbfff0000), 0u);
+    m.store(0xbfff0000, 7);
+    m.store(0xbfff0000, 9);
+    EXPECT_EQ(m.load(0xbfff0000), 9u);
+    EXPECT_EQ(m.load(0xbffefff8), 0u);
+    // A read never inserts: only the one written address is held.
+    EXPECT_EQ(m.size(), 1u);
+    m.store(0, 0); // address 0 and value 0 are ordinary keys
+    EXPECT_EQ(m.load(0), 0u);
+    EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(WordMemory, GrowsPastInitialCapacityAndClearsInConstantTime)
+{
+    // Against a reference map: random stack-like and scattered
+    // addresses, enough to grow the table several times, with
+    // clears in between. After a clear, every address reads 0 again.
+    WordMemory m;
+    std::unordered_map<Addr, std::uint64_t> ref;
+    Rng rng(42);
+    const std::size_t n = 40 * WordMemory::initialCapacity;
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const Addr a = rng.nextBool(0.5)
+                ? 0xbfff0000 - 8 * rng.nextBelow(512)
+                : rng.next();
+            const std::uint64_t v = rng.next();
+            m.store(a, v);
+            ref[a] = v;
+            const Addr probe = 0xbfff0000 - 8 * rng.nextBelow(1024);
+            const auto it = ref.find(probe);
+            ASSERT_EQ(m.load(probe), it == ref.end() ? 0 : it->second);
+        }
+        EXPECT_EQ(m.size(), ref.size());
+        EXPECT_GT(m.capacity(), WordMemory::initialCapacity);
+        EXPECT_LE(2 * m.size(), m.capacity());
+        for (const auto &[a, v] : ref)
+            ASSERT_EQ(m.load(a), v);
+
+        const std::size_t cap = m.capacity();
+        m.clear();
+        EXPECT_EQ(m.size(), 0u);
+        EXPECT_EQ(m.capacity(), cap);
+        for (const auto &[a, v] : ref)
+            ASSERT_EQ(m.load(a), 0u) << "stale word survived clear";
+        ref.clear();
+    }
 }
 
 TEST(Predictor, LoopBranchWarmsUp)
